@@ -49,7 +49,6 @@ RunOutput execute(const SweepCase& c, std::size_t dim, bool instrumented) {
   // Telemetry hooks are untaken branches on the simulated timeline, so an
   // instrumented run reports exactly the numbers an uninstrumented one would.
   sim::telemetry::Telemetry telemetry;
-  telemetry.enable_breakdown();
   if (c.custom) {
     out.result = c.custom(&telemetry);
   } else {

@@ -48,11 +48,6 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
           "pdes: the chrome trace sink records in global wall order and is "
           "not shardable; run traced experiments with pdes_partitions = 1");
     }
-    if (pdes_ != nullptr && params_.telemetry->breakdown() != nullptr) {
-      throw std::invalid_argument(
-          "pdes: the latency-breakdown collector accumulates into shared "
-          "histograms; run breakdown experiments with pdes_partitions = 1");
-    }
     for (auto& n : nodes_) n->nic->set_telemetry(params_.telemetry);
     net_->set_trace_sink(params_.telemetry->trace());
     net_->set_causal(params_.telemetry->causal());
@@ -314,8 +309,6 @@ void Cluster::snapshot_metrics() {
     m.counter(pfx + "port_down_drops") = s.packets_dropped_port_down();
   }
   m.counter("net.packets_injected") = net_->packets_injected();
-
-  if (auto* bc = params_.telemetry->breakdown()) bc->snapshot(m);
 }
 
 std::unique_ptr<gm::Port> Cluster::make_port(net::NodeId node_id, nic::PortId port) {

@@ -167,21 +167,6 @@ const std::vector<std::uint8_t>& Network::route(NodeId src, NodeId dst) const {
   return r;
 }
 
-sim::Duration Network::path_time(NodeId src, NodeId dst, std::int64_t payload_bytes) const {
-  if (src == dst) return sim::Duration{0};
-  const std::size_t hops = route(src, dst).size();  // switches traversed
-  sim::Duration t{0};
-  // The packet crosses hops+1 links; the route shrinks by one byte per
-  // switch, so link k carries (hops - k) remaining route bytes.
-  for (std::size_t k = 0; k <= hops; ++k) {
-    const std::int64_t bytes = link_params_.header_bytes +
-                               static_cast<std::int64_t>(hops - k) + payload_bytes;
-    t += sim::transfer_time(bytes, link_params_.bandwidth_mbps) + link_params_.propagation;
-  }
-  t += switch_params_.routing_latency * static_cast<std::int64_t>(hops);
-  return t;
-}
-
 sim::SimTime Network::inject(Packet p) {
   assert(finalized_);
   Terminal& t = terminals_.at(p.src_node);

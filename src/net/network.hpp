@@ -80,14 +80,6 @@ class Network {
     return route(src, dst).size();
   }
 
-  /// The deterministic end-to-end wire time of an uncontended packet of
-  /// `payload_bytes` from src to dst: per-link serialisation + propagation
-  /// plus per-switch routing latency. This is the "Network" term of the
-  /// paper's Eq. 1-2, used by the telemetry cost breakdown. Zero for
-  /// same-node (loopback) traffic, which never touches the fabric.
-  [[nodiscard]] sim::Duration path_time(NodeId src, NodeId dst,
-                                        std::int64_t payload_bytes) const;
-
   /// Attaches (or detaches, with nullptr) a trace sink to every link in the
   /// fabric. Call after the topology is fully built.
   void set_trace_sink(sim::telemetry::TraceEventSink* sink) {

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -138,8 +137,6 @@ struct Packet {
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t header_bytes) const {
     return header_bytes + static_cast<std::int64_t>(route.size()) + payload_bytes;
   }
-
-  [[nodiscard]] std::string describe() const;
 };
 
 }  // namespace nicbar::net

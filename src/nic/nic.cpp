@@ -4,8 +4,6 @@
 #include "nic/nic.hpp"
 
 #include <cassert>
-#include <cstdarg>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
@@ -44,19 +42,8 @@ Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig config,
       ports_(static_cast<std::size_t>(config_.max_ports)),
       slots_(config_.barrier_slots) {}
 
-void Nic::trace(sim::TraceCategory cat, const char* fmt, ...) {
-  if (tracer_ == nullptr || !tracer_->on(cat)) return;
-  char body[400];
-  va_list ap;
-  va_start(ap, fmt);
-  std::vsnprintf(body, sizeof body, fmt, ap);
-  va_end(ap);
-  tracer_->log(cat, sim_.now(), "nic%u: %s", node_, body);
-}
-
 void Nic::set_telemetry(sim::telemetry::Telemetry* telemetry) {
   tsink_ = telemetry != nullptr ? telemetry->trace() : nullptr;
-  bcoll_ = telemetry != nullptr ? telemetry->breakdown() : nullptr;
   causal_ = telemetry != nullptr ? telemetry->causal() : nullptr;
   if (tsink_ != nullptr) {
     const std::string prefix = "nic" + std::to_string(node_) + "/";
@@ -113,18 +100,6 @@ std::uint64_t Nic::causal_engine_span(sim::causal::Segment seg, const char* labe
   if (causal_ == nullptr) return 0;
   const sim::Duration service = proc_.cycles(cycles);
   return causal_->record(seg, node_, label, end - service, end, parent, parent2);
-}
-
-void Nic::breakdown_nic(PortId p, std::uint32_t epoch, std::int64_t cycles) {
-  if (bcoll_ != nullptr) bcoll_->add_nic(node_, p, epoch, proc_.cycles(cycles));
-}
-
-void Nic::breakdown_dma(PortId p, std::uint32_t epoch, sim::Duration d) {
-  if (bcoll_ != nullptr) bcoll_->add_dma(node_, p, epoch, d);
-}
-
-void Nic::breakdown_wire(Endpoint dst, std::uint32_t epoch, sim::Duration d) {
-  if (bcoll_ != nullptr) bcoll_->add_wire(dst.node, dst.port, epoch, d);
 }
 
 Connection& Nic::conn(NodeId remote) { return conns_.get_or_create(remote); }
@@ -189,17 +164,11 @@ bool Nic::is_port_open(PortId p) const { return port(p).open; }
 
 bool Nic::slot_allocate(std::uint64_t group, PortId p) {
   if (group == 0) throw std::invalid_argument("group id 0 is the reserved anonymous group");
-  const bool ok = slots_.allocate(group, p);
-  trace(sim::TraceCategory::kBarrier, "slot %s group=%llu port=%u (%d/%d in use)",
-        ok ? "alloc" : "REJECT", static_cast<unsigned long long>(group), p, slots_.in_use(),
-        slots_.capacity());
-  return ok;
+  return slots_.allocate(group, p);
 }
 
 void Nic::slot_free(std::uint64_t group, PortId p) {
   slots_.release(group, p);
-  trace(sim::TraceCategory::kBarrier, "slot free group=%llu port=%u (%d/%d in use)",
-        static_cast<unsigned long long>(group), p, slots_.in_use(), slots_.capacity());
 }
 
 bool Nic::slot_bound(std::uint64_t group, PortId p) const { return slots_.bound(group, p); }
@@ -250,8 +219,6 @@ void Nic::sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag
           p.value = token.value;
           p.frag_index = index;
           p.frag_count = frag_count;
-          trace(sim::TraceCategory::kSdma, "prepared %s frag %u/%u", p.describe().c_str(),
-                index + 1, frag_count);
           const bool last = index + 1 == frag_count;
           enqueue_reliable(std::move(p), last ? std::move(token.on_sent) : nullptr);
           if (!last) sdma_fragment(std::move(token), static_cast<std::uint16_t>(index + 1),
@@ -321,14 +288,6 @@ void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
       send_cycles_override >= 0
           ? send_cycles_override
           : (net::is_barrier_payload(p.type) ? config_.barrier_send_cycles : config_.send_cycles);
-  if (bcoll_ != nullptr && net::is_barrier_payload(p.type)) {
-    // SEND cycles belong to the sender's barrier record; the wire time is on
-    // the *destination's* critical path, so it accrues there (Eq. 1-2's
-    // Network term).
-    bcoll_->add_nic(node_, p.src_port, p.barrier_epoch, proc_.cycles(cost));
-    breakdown_wire(Endpoint{p.dst_node, p.dst_port}, p.barrier_epoch,
-                   net_.path_time(node_, p.dst_node, p.payload_bytes));
-  }
   auto packet = std::make_shared<Packet>(std::move(p));
   const sim::SimTime end =
       engine_submit(McpEngine::kSend, "tx", cost, [this, packet]() mutable {
@@ -339,7 +298,6 @@ void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
                            [this, pkt = std::move(copy)]() mutable { rx_packet(std::move(pkt)); });
           return;
         }
-        trace(sim::TraceCategory::kSend, "tx %s", packet->describe().c_str());
         net_.inject(std::move(*packet));
       }, packet->id);
   if (causal_ != nullptr) {
@@ -430,9 +388,6 @@ void Nic::rx_packet(Packet p) {
     case PacketType::kBarrierPe:
     case PacketType::kBarrierGather:
     case PacketType::kBarrierBcast:
-      // RECV's per-packet cycles are on the barrier's critical path.
-      breakdown_nic(packet->dst_port, packet->barrier_epoch, config_.recv_cycles);
-      [[fallthrough]];
     case PacketType::kReduceUp:
     case PacketType::kReduceDown: {
       const sim::SimTime end =
@@ -463,8 +418,6 @@ void Nic::rx_packet(Packet p) {
 
 void Nic::recv_data(Packet p) {
   Connection& c = conn(p.src_node);
-  trace(sim::TraceCategory::kRecv, "rx %s (expect seq=%u)", p.describe().c_str(),
-        c.next_expected_seq);
   if (p.seq == c.next_expected_seq) {
     // In-order. GM receive-side flow control: without a host buffer the
     // packet cannot be accepted; leave the stream position unchanged so the
@@ -502,7 +455,6 @@ void Nic::accept_in_order(Packet p) {
                                   ? config_.barrier_pe_cycles
                                   : config_.barrier_gb_cycles;
     auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "barrier_advance", cost,
                       [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
@@ -637,7 +589,6 @@ void Nic::retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.sent_list) {
     rec.retransmitted = true;  // Karn: its ack can no longer be sampled
     ++stats_.retransmissions;
-    trace(sim::TraceCategory::kReliab, "retransmit %s", rec.packet.describe().c_str());
     transmit(rec.packet);
   }
   if (!c.sent_list.empty()) arm_retransmit(remote);
@@ -652,7 +603,6 @@ void Nic::declare_peer_dead(NodeId remote) {
   sim_.cancel(c.barrier_retransmit_timer);
   c.sent_list.clear();
   c.barrier_sent_list.clear();
-  trace(sim::TraceCategory::kReliab, "connection to %u failed (retries exhausted)", remote);
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
   GmEvent ev;
   ev.type = GmEventType::kPeerDead;
@@ -672,7 +622,6 @@ void Nic::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.nic_crashes;
-  trace(sim::TraceCategory::kReliab, "crash");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "crash", sim_.now(), "fault");
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
@@ -686,7 +635,6 @@ void Nic::restart() {
   if (!crashed_) return;
   crashed_ = false;
   ++stats_.nic_restarts;
-  trace(sim::TraceCategory::kReliab, "restart");
   if (tsink_ != nullptr) tsink_->instant(fault_track_, "restart", sim_.now(), "fault");
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
@@ -748,7 +696,6 @@ void Nic::deliver_to_host(Packet p) {
           ev.tag = packet->tag;
           ev.value = packet->value;
           ev.causal = packet->causal;
-          trace(sim::TraceCategory::kRdma, "deliver %s", packet->describe().c_str());
           push_event(packet->dst_port, ev);
         }, packet->id);
         if (causal_ != nullptr) {

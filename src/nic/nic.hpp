@@ -40,7 +40,6 @@
 #include "sim/simulator.hpp"
 #include "sim/sync.hpp"
 #include "sim/telemetry.hpp"
-#include "sim/trace.hpp"
 
 namespace nicbar::nic {
 
@@ -232,15 +231,11 @@ class Nic {
   /// How many peers this NIC has actually contacted — the footprint the
   /// sparse connection table pays for (vs N-1 under a dense table).
   [[nodiscard]] std::size_t connections_allocated() const { return conns_.allocated(); }
-  void set_tracer(sim::Tracer* tracer) { tracer_ = tracer; }
 
   /// Attaches the cluster's telemetry bundle (nullptr detaches). The NIC
   /// caches the sink pointers so every hot-path hook is one branch.
   void set_telemetry(sim::telemetry::Telemetry* telemetry);
   [[nodiscard]] sim::telemetry::TraceEventSink* trace_sink() const { return tsink_; }
-  [[nodiscard]] sim::telemetry::BreakdownCollector* breakdown_collector() const {
-    return bcoll_;
-  }
   [[nodiscard]] sim::causal::CausalTracer* causal_tracer() const { return causal_; }
 
   /// True if the port currently has an active (incomplete) barrier.
@@ -300,10 +295,6 @@ class Nic {
   std::uint64_t causal_engine_span(sim::causal::Segment seg, const char* label,
                                    sim::SimTime end, std::int64_t cycles,
                                    std::uint64_t parent, std::uint64_t parent2 = 0);
-  /// Breakdown attribution of barrier-firmware work; no-ops when detached.
-  void breakdown_nic(PortId port, std::uint32_t epoch, std::int64_t cycles);
-  void breakdown_dma(PortId port, std::uint32_t epoch, sim::Duration d);
-  void breakdown_wire(Endpoint dst, std::uint32_t epoch, sim::Duration d);
 
   // --- SDMA / SEND ------------------------------------------------------------
   void sdma_start(SendToken token);
@@ -383,9 +374,6 @@ class Nic {
   void reduce_complete(PortId local_port, std::int64_t result);
   bool reduce_answer_nack(const net::Packet& p);        // §3.2 resend for reduce types
 
-  void trace(sim::TraceCategory cat, const char* fmt, ...)
-      __attribute__((format(printf, 3, 4)));
-
   sim::Simulator& sim_;
   net::Network& net_;
   NodeId node_;
@@ -398,10 +386,8 @@ class Nic {
   SlotTable slots_;
   bool crashed_ = false;
   EngineStats engines_;
-  sim::Tracer* tracer_ = nullptr;
   // Telemetry (all null/zero when detached; every hook is one branch).
   sim::telemetry::TraceEventSink* tsink_ = nullptr;
-  sim::telemetry::BreakdownCollector* bcoll_ = nullptr;
   sim::causal::CausalTracer* causal_ = nullptr;
   int engine_track_[kMcpEngineCount] = {};
   int pci_track_ = 0;

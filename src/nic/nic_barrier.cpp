@@ -47,7 +47,6 @@ void Nic::post_barrier_token(BarrierToken token) {
         (token.is_root() ? 0 : 1));
     cycles += entries * config_.barrier_hier_init_per_entry_cycles;
   }
-  breakdown_nic(token.src_port, token.epoch, cycles);
   auto tok = std::make_shared<BarrierToken>(std::move(token));
   const sim::SimTime end =
       engine_submit(McpEngine::kSdma, "barrier_init", cycles,
@@ -79,8 +78,6 @@ void Nic::barrier_start(BarrierToken token) {
                token.src_port, static_cast<unsigned long long>(token.group));
   ++stats_.barriers_started;
   const PortId p = token.src_port;
-  trace(sim::TraceCategory::kBarrier, "port %u: start %s barrier epoch=%u", p,
-        to_string(token.algorithm), token.epoch);
   ps.active_barrier = std::make_unique<BarrierToken>(std::move(token));
   switch (ps.active_barrier->algorithm) {
     case BarrierAlgorithm::kPairwiseExchange:
@@ -118,7 +115,6 @@ void Nic::barrier_rx(Packet p) {
     case BarrierReliability::kUnreliable: {
       const std::int64_t cost = barrier_rx_cost(p);
       auto packet = std::make_shared<Packet>(std::move(p));
-      breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
       const sim::SimTime end =
           engine_submit(McpEngine::kRdma, "barrier_advance", cost,
                         [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
@@ -148,8 +144,6 @@ void Nic::barrier_rx_in_order(Packet p) {
   // Legacy packets (group 0) bypass the fence entirely.
   if (p.group != 0 && !slots_.bound(p.group, p.dst_port)) {
     ++stats_.stale_group_fenced;
-    trace(sim::TraceCategory::kBarrier, "fenced stale %s (group=%llu has no slot)",
-          p.describe().c_str(), static_cast<unsigned long long>(p.group));
     return;
   }
   PortState& ps = port(p.dst_port);
@@ -163,7 +157,6 @@ void Nic::barrier_rx_in_order(Packet p) {
   }
   BarrierToken* tok = ps.active_barrier.get();
   const Endpoint src{p.src_node, p.src_port};
-  trace(sim::TraceCategory::kBarrier, "port %u: rx %s", p.dst_port, p.describe().c_str());
 
   switch (p.type) {
     case PacketType::kBarrierPe:
@@ -248,8 +241,6 @@ void Nic::barrier_record(const Packet& p, bool for_closed_port) {
   }
   c.set_bit(p.src_port, BarrierBitInfo{p.type, p.barrier_epoch, p.dst_port, for_closed_port,
                                        p.value, p.causal});
-  trace(sim::TraceCategory::kBarrier, "record unexpected %s%s", p.describe().c_str(),
-        for_closed_port ? " (closed port)" : "");
 }
 
 // --- Pairwise exchange (§5.2) ----------------------------------------------------------
@@ -303,7 +294,6 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
     // Already received (recorded as unexpected): test-and-clear, advance.
     const std::uint64_t arrival = c.bit_info[peer.port].causal;
     c.clear_bit(peer.port);
-    breakdown_nic(local_port, tok->epoch, config_.barrier_pe_cycles);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "pe_advance", config_.barrier_pe_cycles);  // bookkeeping
     if (causal_ != nullptr) {
@@ -474,7 +464,6 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
     // wire, no SEND/RECV engines, only a short firmware hop.
     ++stats_.barrier_loopback_msgs;
     auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, epoch, config_.barrier_pe_cycles);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "loopback", config_.barrier_pe_cycles,
                       [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); });
@@ -525,19 +514,15 @@ void Nic::barrier_complete(PortId local_port) {
                sim_.now(), "port %u: completed epoch %u after already completing epoch %lld",
                local_port, epoch, static_cast<long long>(ps.last_completed_epoch));
   ps.last_completed_epoch = static_cast<std::int64_t>(epoch);
-  trace(sim::TraceCategory::kBarrier, "port %u: %s barrier epoch=%u complete", local_port,
-        to_string(tok->algorithm), epoch);
   // Keep the completed token for §3.2 late-NACK resends.
   ps.last_barrier = std::move(ps.active_barrier);
 
   // RDMA the completion token to the host.
-  breakdown_nic(local_port, epoch, config_.rdma_setup_cycles);
   const sim::SimTime setup_end =
       engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
                     [this, local_port, epoch] {
     const sim::Duration dma =
         config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
-    breakdown_dma(local_port, epoch, dma);
     auto dma_span = std::make_shared<std::uint64_t>(0);
     const sim::SimTime dma_end = pci_submit("rdma_dma", dma,
                                             [this, local_port, epoch, dma_span] {
@@ -660,8 +645,6 @@ void Nic::barrier_handle_nack(const Packet& p) {
   const PortId local_port = p.dst_port;
   const PacketType type = p.nacked_type;
   const std::uint32_t epoch = p.barrier_epoch;
-  trace(sim::TraceCategory::kBarrier, "port %u: resend %s to %u.%u after NACK", local_port,
-        net::to_string(type), peer.node, peer.port);
   sim_.schedule_in(config_.barrier_resend_delay, [this, local_port, peer, type, epoch] {
     if (!port(local_port).open) return;
     barrier_send(local_port, peer, type, epoch);
@@ -696,7 +679,6 @@ void Nic::barrier_recv_separate(Packet p) {
     send_control(std::move(ack));
     const std::int64_t cost = barrier_rx_cost(p);
     auto packet = std::make_shared<Packet>(std::move(p));
-    breakdown_nic(packet->dst_port, packet->barrier_epoch, cost);
     const sim::SimTime end =
         engine_submit(McpEngine::kRdma, "barrier_advance", cost,
                       [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
@@ -779,8 +761,6 @@ void Nic::cancel_barrier(PortId local_port) {
   PortState& ps = port(local_port);
   if (ps.active_barrier == nullptr || ps.active_barrier->completed) return;
   ++stats_.barriers_cancelled;
-  trace(sim::TraceCategory::kBarrier, "port %u: cancel barrier epoch=%u", local_port,
-        ps.active_barrier->epoch);
   // Discard the parked token; whatever this member already contributed may
   // still complete peers, but no completion event will be raised here (and
   // any in-flight one is filtered by its epoch on the host side).

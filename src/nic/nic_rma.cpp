@@ -58,8 +58,6 @@ void Nic::post_rma_token(RmaToken token) {
                           p.rma_op = token.op_id;
                           p.value = token.value;
                           p.rma_expected = token.expected;
-                          trace(sim::TraceCategory::kSdma, "rma prepared %s",
-                                p.describe().c_str());
                           enqueue_reliable(std::move(p), nullptr);
                         });
         };
@@ -122,7 +120,6 @@ void Nic::rma_apply(Packet p) {
     // Registration race: the initiator's segment is constructed but ours is
     // not yet. Park; rma_register flushes in arrival order.
     ++stats_.rma_parked;
-    trace(sim::TraceCategory::kRdma, "rma park %s", p.describe().c_str());
     ps.rma_parked.push_back(std::move(p));
     return;
   }
@@ -143,7 +140,6 @@ void Nic::rma_apply(Packet p) {
       pci_submit("rma_dma", dma, [this, packet, mem] {
         ++stats_.rma_puts_applied;
         mem->write(packet->rma_index, packet->value);
-        trace(sim::TraceCategory::kRdma, "rma put applied %s", packet->describe().c_str());
         rma_reply(*packet, packet->value, true);
       }, packet->id);
       break;
@@ -198,7 +194,6 @@ void Nic::rma_absorb_reply(Packet p) {
     return;
   }
   ++stats_.rma_replies;
-  trace(sim::TraceCategory::kRdma, "rma reply %s", p.describe().c_str());
   ps.rma_sink->rma_complete(p.rma_op, p.value, p.rma_ok);
 }
 

@@ -5,6 +5,7 @@
 #include <queue>
 
 #include "sim/check.hpp"
+#include "sim/telemetry.hpp"
 
 namespace nicbar::sim::causal {
 
@@ -178,6 +179,30 @@ PathProfile CausalTracer::profile_of(const std::vector<CompletedBarrier>& barrie
   PathProfile out;
   for (const CompletedBarrier& b : barriers) fold(critical_path(b.sink), out);
   return out;
+}
+
+CostRows cost_rows(const PathProfile& p) {
+  const auto self = [&p](Segment s) { return p.self[static_cast<std::size_t>(s)]; };
+  CostRows r;
+  r.barriers = p.barriers;
+  r.total = p.total;
+  r.host = self(Segment::kHost);
+  r.nic = self(Segment::kSdma) + self(Segment::kSend) + self(Segment::kRecv) +
+          self(Segment::kFirmware) + self(Segment::kRep);
+  r.rdma = self(Segment::kRdma);
+  r.wire = self(Segment::kWire) + self(Segment::kSwitch);
+  for (const Duration q : p.queue) r.queue += q;
+  return r;
+}
+
+void CostRows::snapshot(telemetry::MetricsRegistry& m) const {
+  m.counter("breakdown.barriers") = barriers;
+  m.gauge("breakdown.host_us") = mean_us(host);
+  m.gauge("breakdown.nic_us") = mean_us(nic);
+  m.gauge("breakdown.rdma_us") = mean_us(rdma);
+  m.gauge("breakdown.wire_us") = mean_us(wire);
+  m.gauge("breakdown.queue_us") = mean_us(queue);
+  m.gauge("breakdown.total_us") = mean_us(total);
 }
 
 bool CausalTracer::verify_acyclic() const {

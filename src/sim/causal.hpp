@@ -49,6 +49,10 @@
 
 #include "sim/time.hpp"
 
+namespace nicbar::sim::telemetry {
+class MetricsRegistry;
+}
+
 namespace nicbar::sim::causal {
 
 /// Where a span's time was spent, aligned with the Eq. 1-2 cost terms.
@@ -138,6 +142,32 @@ struct PathProfile {
     return d;
   }
 };
+
+/// The paper's Eq. 1-2 cost terms as a view of a PathProfile: every
+/// segment's self time lands in one fixed row and every segment's queue time
+/// in the queue row, so the rows sum to `total` exactly, in integer ps, with
+/// no residual. Durations are summed over `barriers` completions.
+struct CostRows {
+  std::uint64_t barriers = 0;
+  Duration host{0};   // host
+  Duration nic{0};    // sdma + send + recv + firmware + rep
+  Duration rdma{0};   // rdma: completion set-up cycles + PCI transfer
+  Duration wire{0};   // wire + switch
+  Duration queue{0};  // queue of every segment: contention and peer skew
+  Duration total{0};
+
+  [[nodiscard]] Duration sum() const { return host + nic + rdma + wire + queue; }
+  /// Per-barrier mean of one row in microseconds (0 with no barriers).
+  [[nodiscard]] double mean_us(Duration row) const {
+    return barriers == 0 ? 0.0 : row.us() / static_cast<double>(barriers);
+  }
+  /// Writes the per-barrier means as "breakdown.*" gauges plus the
+  /// "breakdown.barriers" counter.
+  void snapshot(telemetry::MetricsRegistry& m) const;
+};
+
+/// Groups a critical-path profile into the Eq. 1-2 rows.
+[[nodiscard]] CostRows cost_rows(const PathProfile& p);
 
 class CausalTracer {
  public:

@@ -6,6 +6,52 @@
 
 #include "sim/causal.hpp"
 
+namespace nicbar::sim {
+
+// --- Trace categories -----------------------------------------------------------
+
+namespace {
+
+struct MaskName {
+  const char* name;
+  TraceCategory cat;
+};
+
+constexpr MaskName kMaskNames[] = {
+    {"sdma", TraceCategory::kSdma}, {"send", TraceCategory::kSend},
+    {"recv", TraceCategory::kRecv}, {"rdma", TraceCategory::kRdma},
+    {"net", TraceCategory::kNet},   {"all", TraceCategory::kAll},
+};
+
+}  // namespace
+
+std::optional<std::uint32_t> parse_trace_mask(const std::string& spec) {
+  std::uint32_t mask = 0;
+  std::size_t pos = 0;
+  while (pos <= spec.size()) {
+    std::size_t comma = spec.find(',', pos);
+    if (comma == std::string::npos) comma = spec.size();
+    const std::string name = spec.substr(pos, comma - pos);
+    bool found = false;
+    for (const MaskName& m : kMaskNames) {
+      if (name == m.name) {
+        mask |= static_cast<std::uint32_t>(m.cat);
+        found = true;
+        break;
+      }
+    }
+    if (!found) return std::nullopt;  // unknown or empty element
+    pos = comma + 1;
+  }
+  return mask;
+}
+
+const char* trace_mask_names() {
+  return "sdma,send,recv,rdma,net,all";
+}
+
+}  // namespace nicbar::sim
+
 namespace nicbar::sim::telemetry {
 
 // --- MetricsRegistry ----------------------------------------------------------
@@ -168,88 +214,6 @@ void TraceEventSink::write_json(std::ostream& os) const {
   os << "\n]}\n";
 }
 
-// --- BreakdownCollector --------------------------------------------------------
-
-void BreakdownCollector::barrier_posted(std::uint32_t node, std::uint16_t port,
-                                        std::uint32_t epoch, SimTime at, Duration host_cost) {
-  Pending& p = pending_[key(node, port, epoch)];
-  p.t0 = at;
-  p.posted = true;
-  p.host += host_cost;
-}
-
-void BreakdownCollector::add_host(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                  Duration d) {
-  pending_[key(node, port, epoch)].host += d;
-}
-
-void BreakdownCollector::add_nic(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                 Duration d) {
-  pending_[key(node, port, epoch)].nic += d;
-}
-
-void BreakdownCollector::add_dma(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                 Duration d) {
-  pending_[key(node, port, epoch)].dma += d;
-}
-
-void BreakdownCollector::add_wire(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                                  Duration d) {
-  pending_[key(node, port, epoch)].wire += d;
-}
-
-void BreakdownCollector::barrier_completed(std::uint32_t node, std::uint16_t port,
-                                           std::uint32_t epoch, SimTime at,
-                                           Duration host_cost) {
-  const auto it = pending_.find(key(node, port, epoch));
-  if (it == pending_.end() || !it->second.posted) return;  // never saw the post
-  Pending p = it->second;
-  pending_.erase(it);
-  p.host += host_cost;
-
-  CostBreakdown b;
-  b.total_us = (at - p.t0).us();
-  b.host_us = p.host.us();
-  b.nic_us = p.nic.us();
-  b.dma_us = p.dma.us();
-  b.wire_us = p.wire.us();
-  b.wait_us = b.total_us - b.host_us - b.nic_us - b.dma_us - b.wire_us;
-  last_ = b;
-
-  host_.add(b.host_us);
-  nic_.add(b.nic_us);
-  dma_.add(b.dma_us);
-  wire_.add(b.wire_us);
-  wait_.add(b.wait_us);
-  total_.add(b.total_us);
-  ++count_;
-}
-
-CostBreakdown BreakdownCollector::mean() const {
-  CostBreakdown b;
-  if (count_ == 0) return b;
-  b.host_us = host_.mean();
-  b.nic_us = nic_.mean();
-  b.dma_us = dma_.mean();
-  b.wire_us = wire_.mean();
-  b.total_us = total_.mean();
-  // The residual keeps the invariant sum == total exactly, even after the
-  // independent means round differently.
-  b.wait_us = b.total_us - b.host_us - b.nic_us - b.dma_us - b.wire_us;
-  return b;
-}
-
-void BreakdownCollector::snapshot(MetricsRegistry& m) const {
-  const CostBreakdown b = mean();
-  m.counter("breakdown.barriers") = barriers();
-  m.gauge("breakdown.host_us") = b.host_us;
-  m.gauge("breakdown.nic_us") = b.nic_us;
-  m.gauge("breakdown.dma_us") = b.dma_us;
-  m.gauge("breakdown.wire_us") = b.wire_us;
-  m.gauge("breakdown.wait_us") = b.wait_us;
-  m.gauge("breakdown.total_us") = b.total_us;
-}
-
 // --- Telemetry ------------------------------------------------------------------
 
 Telemetry::Telemetry() = default;
@@ -258,11 +222,6 @@ Telemetry::~Telemetry() = default;
 TraceEventSink& Telemetry::enable_trace() {
   if (!trace_) trace_ = std::make_unique<TraceEventSink>();
   return *trace_;
-}
-
-BreakdownCollector& Telemetry::enable_breakdown() {
-  if (!breakdown_) breakdown_ = std::make_unique<BreakdownCollector>();
-  return *breakdown_;
 }
 
 causal::CausalTracer& Telemetry::enable_causal() {

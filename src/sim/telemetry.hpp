@@ -1,36 +1,57 @@
-// Simulation telemetry: metrics registry, per-barrier cost breakdown, and
-// Chrome trace-event export.
+// Simulation telemetry: metrics registry and Chrome trace-event export.
 //
-// Three cooperating pieces, all optional and all zero-cost when detached
+// Two cooperating pieces, both optional and zero-cost when detached
 // (hardware models hold raw pointers that are null by default; every hook is
-// one branch, the same discipline as Tracer):
+// one branch):
 //
-//   MetricsRegistry    — named counters, gauges, and Histogram-backed timers.
-//                        Hardware models register their counters at snapshot
-//                        time; benches and tools serialise it as JSON.
-//   TraceEventSink     — buffers duration ("X") and instant ("i") events in
-//                        Chrome trace-event format, one track per host /
-//                        NIC engine / link, loadable in Perfetto or
-//                        chrome://tracing.
-//   BreakdownCollector — attributes each completed barrier's latency to the
-//                        paper's Eq. 1-2 components (host software, NIC
-//                        processing, DMA, wire) plus a wait/overlap residual,
-//                        so the terms always sum to the measured total.
+//   MetricsRegistry — named counters, gauges, and Histogram-backed timers.
+//                     Hardware models register their counters at snapshot
+//                     time; benches and tools serialise it as JSON.
+//   TraceEventSink  — buffers duration ("X") and instant ("i") events in
+//                     Chrome trace-event format, one track per host /
+//                     NIC engine / link, loadable in Perfetto or
+//                     chrome://tracing.
 //
-// Telemetry bundles the three; a Cluster attaches one to every hardware
-// model it builds.
+// Telemetry bundles them with the causal span tracer (sim/causal.hpp), whose
+// critical-path profile is also the source of the Eq. 1-2 cost breakdown; a
+// Cluster attaches the bundle to every hardware model it builds.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
-#include "sim/trace.hpp"
+
+namespace nicbar::sim {
+
+/// Trace-event categories, one per emitting layer: the four MCP engines
+/// (PCI transfers count as RDMA) and the fabric. TraceEventSink filters on
+/// them so `--trace-mask` applies end to end.
+enum class TraceCategory : std::uint32_t {
+  kSdma = 1u << 1,  // SDMA engine (host -> NIC)
+  kSend = 1u << 2,  // SEND engine (NIC -> wire)
+  kRecv = 1u << 3,  // RECV engine (wire -> NIC)
+  kRdma = 1u << 4,  // RDMA engine and PCI bus (NIC -> host)
+  kNet = 1u << 5,   // links and switches
+  kAll = 0xffffffffu,
+};
+
+/// Parses a comma-separated category list ("sdma,send,recv,rdma,net" or
+/// "all") into a TraceCategory bit mask. Names are case-sensitive and match
+/// the enumerators without the k prefix; empty elements are rejected.
+/// Returns nullopt on any unknown name.
+[[nodiscard]] std::optional<std::uint32_t> parse_trace_mask(const std::string& spec);
+
+/// The accepted names for parse_trace_mask, for help text and error messages.
+[[nodiscard]] const char* trace_mask_names();
+
+}  // namespace nicbar::sim
 
 namespace nicbar::sim::causal {
 class CausalTracer;
@@ -152,82 +173,12 @@ class TraceEventSink {
   std::uint32_t mask_ = static_cast<std::uint32_t>(TraceCategory::kAll);
 };
 
-// --- Per-barrier cost breakdown ------------------------------------------------
-
-/// One barrier's latency decomposed into the paper's Eq. 1-2 terms. The five
-/// components sum to total_us exactly: wait_us is defined as the residual
-/// (time the critical path spent blocked on peers, or negative overlap when
-/// wire/NIC activity ran concurrently).
-struct CostBreakdown {
-  double host_us = 0.0;  // Send + HRecv: host library CPU time
-  double nic_us = 0.0;   // LANai firmware cycles (all four MCP engines)
-  double dma_us = 0.0;   // PCI bus transfers (completion RDMA et al.)
-  double wire_us = 0.0;  // links + switch routing for packets we waited on
-  double wait_us = 0.0;  // residual: peer skew minus pipelining overlap
-  double total_us = 0.0;
-
-  [[nodiscard]] double sum_us() const {
-    return host_us + nic_us + dma_us + wire_us + wait_us;
-  }
-};
-
-/// Accumulates per-barrier cost attributions keyed by (node, port, epoch).
-/// The gm layer reports the host-side begin/end; the NIC firmware reports
-/// cycle, DMA, and wire charges as they happen; on completion the record is
-/// folded into component accumulators.
-class BreakdownCollector {
- public:
-  /// Host posted the barrier token (the measurement origin); `host_cost` is
-  /// the library call's CPU charge.
-  void barrier_posted(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                      SimTime at, Duration host_cost);
-
-  void add_host(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_nic(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_dma(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-  void add_wire(std::uint32_t node, std::uint16_t port, std::uint32_t epoch, Duration d);
-
-  /// Host consumed the completion event; `host_cost` is the receive-side CPU
-  /// charge. Finalises and folds the record.
-  void barrier_completed(std::uint32_t node, std::uint16_t port, std::uint32_t epoch,
-                         SimTime at, Duration host_cost);
-
-  [[nodiscard]] std::uint64_t barriers() const { return static_cast<std::uint64_t>(count_); }
-
-  /// Mean per-barrier breakdown over every completed barrier; components sum
-  /// to total_us exactly.
-  [[nodiscard]] CostBreakdown mean() const;
-
-  /// The most recently completed barrier's breakdown.
-  [[nodiscard]] const CostBreakdown& last() const { return last_; }
-
-  /// Copies the component means into `m` under "breakdown.*" gauges.
-  void snapshot(MetricsRegistry& m) const;
-
- private:
-  struct Pending {
-    SimTime t0{0};
-    bool posted = false;
-    Duration host{0}, nic{0}, dma{0}, wire{0};
-  };
-  static std::uint64_t key(std::uint32_t node, std::uint16_t port, std::uint32_t epoch) {
-    return (static_cast<std::uint64_t>(node) << 48) |
-           (static_cast<std::uint64_t>(port) << 32) | epoch;
-  }
-
-  std::map<std::uint64_t, Pending> pending_;
-  Accumulator host_, nic_, dma_, wire_, wait_, total_;
-  std::int64_t count_ = 0;
-  CostBreakdown last_;
-};
-
 // --- Bundle ---------------------------------------------------------------------
 
 /// What a Cluster hands to its hardware models. The metrics registry is
 /// always present (filling it is a snapshot-time operation, not a hot-path
-/// one); the trace sink and breakdown collector are created on demand so
-/// models can cache the raw pointers and keep the disabled path to one
-/// branch.
+/// one); the trace sink and causal tracer are created on demand so models
+/// can cache the raw pointers and keep the disabled path to one branch.
 class Telemetry {
  public:
   Telemetry();
@@ -239,17 +190,14 @@ class Telemetry {
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
   TraceEventSink& enable_trace();
-  BreakdownCollector& enable_breakdown();
   causal::CausalTracer& enable_causal();
 
   [[nodiscard]] TraceEventSink* trace() const { return trace_.get(); }
-  [[nodiscard]] BreakdownCollector* breakdown() const { return breakdown_.get(); }
   [[nodiscard]] causal::CausalTracer* causal() const { return causal_.get(); }
 
  private:
   MetricsRegistry metrics_;
   std::unique_ptr<TraceEventSink> trace_;
-  std::unique_ptr<BreakdownCollector> breakdown_;
   std::unique_ptr<causal::CausalTracer> causal_;
 };
 

@@ -245,5 +245,47 @@ TEST(PdesBitIdentity, StartSkewAndPermutedPlacement) {
   check_case(c, "skew-permuted");
 }
 
+TEST(PdesBitIdentity, BreakdownRowsAtEveryWorkerCount) {
+  // --breakdown is a view of the canonical causal profile, so its Eq. 1-2
+  // rows are equal in every ps at workers 1, 2, 4 and 8 (the CLI runs N
+  // partitions on N workers). Start skew makes the queue row non-zero.
+  for (const bool skew : {false, true}) {
+    coll::ExperimentParams p;
+    p.nodes = 16;
+    p.reps = 3;
+    p.cluster.nodes = 16;
+    p.spec.location = coll::Location::kNic;
+    p.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+    if (skew) p.max_start_skew = sim::Duration{50'000'000};  // 50 us
+    std::vector<sim::causal::CostRows> rows;
+    for (const unsigned w : {1u, 2u, 4u, 8u}) {
+      coll::ExperimentParams pw = p;
+      pw.cluster.pdes_partitions = w;
+      pw.cluster.pdes_workers = w;
+      sim::telemetry::Telemetry tel;
+      tel.enable_causal();
+      pw.cluster.telemetry = &tel;
+      (void)coll::run_barrier_experiment(pw);
+      rows.push_back(sim::causal::cost_rows(tel.causal()->profile()));
+    }
+    const std::string what = skew ? "skewed" : "aligned";
+    ASSERT_EQ(rows[0].barriers, 16u * 3u) << what;
+    EXPECT_EQ(rows[0].sum(), rows[0].total) << what;
+    if (skew) {
+      EXPECT_GT(rows[0].queue.ps(), 0) << what;
+    }
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+      const std::string at = what + " workers index " + std::to_string(i);
+      EXPECT_EQ(rows[i].barriers, rows[0].barriers) << at;
+      EXPECT_EQ(rows[i].host.ps(), rows[0].host.ps()) << at;
+      EXPECT_EQ(rows[i].nic.ps(), rows[0].nic.ps()) << at;
+      EXPECT_EQ(rows[i].rdma.ps(), rows[0].rdma.ps()) << at;
+      EXPECT_EQ(rows[i].wire.ps(), rows[0].wire.ps()) << at;
+      EXPECT_EQ(rows[i].queue.ps(), rows[0].queue.ps()) << at;
+      EXPECT_EQ(rows[i].total.ps(), rows[0].total.ps()) << at;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nicbar

@@ -191,6 +191,36 @@ TEST(McpEngineTest, RetransmissionTimerRecoversAckLossEventually) {
   EXPECT_GT(cluster.nic(1).stats().duplicates_dropped, 0u);
 }
 
+TEST(McpEngineTest, DroppedDataPacketIsRetransmitted) {
+  host::ClusterParams p = two_nodes();
+  p.nic.retransmit_timeout = 200_us;
+  host::Cluster cluster(p);
+  // Lose the first data packet only: the go-back-N timer resends it once.
+  bool dropped = false;
+  cluster.network().uplink(0).set_drop_predicate([&dropped](const net::Packet& pk) {
+    if (!dropped && pk.type == net::PacketType::kData) {
+      dropped = true;
+      return true;
+    }
+    return false;
+  });
+  auto p0 = cluster.open_port(0, 2);
+  auto p1 = cluster.open_port(1, 2);
+  std::vector<GmEvent> got;
+  cluster.sim().spawn([](gm::Port& port, std::vector<GmEvent>* out) -> sim::Task {
+    co_await port.provide_receive_buffer(64);
+    out->push_back(co_await port.receive());
+  }(*p1, &got));
+  cluster.sim().spawn([](gm::Port& port) -> sim::Task {
+    co_await port.send(gm::Endpoint{1, 2}, 64);
+  }(*p0));
+  cluster.sim().run(sim::SimTime{0} + 10_ms);
+  EXPECT_TRUE(dropped);
+  EXPECT_EQ(got.size(), 1u);
+  EXPECT_EQ(cluster.nic(0).stats().retransmissions, 1u);
+  EXPECT_EQ(cluster.nic(1).stats().duplicates_dropped, 0u);
+}
+
 TEST(McpEngineTest, MaxRetransmissionsGivesUp) {
   host::ClusterParams p = two_nodes();
   p.nic.retransmit_timeout = 100_us;

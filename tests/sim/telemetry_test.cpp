@@ -1,22 +1,27 @@
-// Telemetry layer: metrics registry, trace-event sink, cost breakdown, and
-// the end-to-end wiring through a real NIC-barrier experiment.
+// Telemetry layer: metrics registry, trace-event sink and its category
+// mask, the Eq. 1-2 cost rows derived from the critical path, and the
+// end-to-end wiring through a real NIC-barrier experiment.
 #include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <optional>
 #include <sstream>
 #include <string>
 
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "sim/causal.hpp"
 
 namespace nicbar {
 namespace {
 
-using sim::telemetry::BreakdownCollector;
-using sim::telemetry::CostBreakdown;
+using sim::TraceCategory;
+using sim::causal::CostRows;
+using sim::causal::PathProfile;
+using sim::causal::Segment;
 using sim::telemetry::MetricsRegistry;
 using sim::telemetry::Telemetry;
 using sim::telemetry::TraceEventSink;
@@ -201,14 +206,14 @@ TEST(TraceEventSinkTest, WriteJsonIsValidChromeTraceFormat) {
 
 TEST(TraceEventSinkTest, MaskFiltersAtEmissionTime) {
   TraceEventSink t;
-  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kBarrier));
+  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kRdma));
   const int a = t.track("mcp0");
   t.duration(a, "keep", sim::SimTime{1000}, sim::Duration{500}, "sim",
-             sim::TraceCategory::kBarrier);
+             sim::TraceCategory::kRdma);
   t.duration(a, "drop", sim::SimTime{2000}, sim::Duration{500}, "sim",
              sim::TraceCategory::kNet);
-  t.instant(a, "drop", sim::SimTime{3000}, "sim", sim::TraceCategory::kHost);
-  t.flow_start(a, "drop", sim::SimTime{4000}, 9, "sim", sim::TraceCategory::kReliab);
+  t.instant(a, "drop", sim::SimTime{3000}, "sim", sim::TraceCategory::kSdma);
+  t.flow_start(a, "drop", sim::SimTime{4000}, 9, "sim", sim::TraceCategory::kSend);
   EXPECT_EQ(t.event_count(), 1u);
   t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kAll));
   t.flow_end(a, "keep", sim::SimTime{5000}, 9);
@@ -252,64 +257,107 @@ TEST(TraceEventSinkTest, GoldenJsonPinsFlowEventsAndCausalIds) {
             "]}\n");
 }
 
-// --- BreakdownCollector ---------------------------------------------------------
+// --- Trace-category mask parser ---------------------------------------------------
 
-TEST(BreakdownCollectorTest, ComponentsSumToTotalExactly) {
-  BreakdownCollector c;
-  const sim::SimTime t0{0};
-  c.barrier_posted(0, 2, 0, t0, sim::microseconds(2.0));
-  c.add_nic(0, 2, 0, sim::microseconds(10.0));
-  c.add_dma(0, 2, 0, sim::microseconds(0.5));
-  c.add_wire(0, 2, 0, sim::microseconds(1.0));
-  c.barrier_completed(0, 2, 0, t0 + sim::microseconds(20.0), sim::microseconds(6.0));
-
-  ASSERT_EQ(c.barriers(), 1u);
-  const CostBreakdown& b = c.last();
-  EXPECT_DOUBLE_EQ(b.total_us, 20.0);
-  EXPECT_DOUBLE_EQ(b.host_us, 8.0);
-  EXPECT_DOUBLE_EQ(b.nic_us, 10.0);
-  EXPECT_DOUBLE_EQ(b.dma_us, 0.5);
-  EXPECT_DOUBLE_EQ(b.wire_us, 1.0);
-  EXPECT_DOUBLE_EQ(b.wait_us, 0.5);
-  // The acceptance bound: the terms sum to the total within 1 ns.
-  EXPECT_NEAR(b.sum_us(), b.total_us, 1e-3);
-}
-
-TEST(BreakdownCollectorTest, CompletionWithoutPostIsIgnored) {
-  BreakdownCollector c;
-  c.add_nic(3, 2, 7, sim::microseconds(5.0));  // charges before any post
-  c.barrier_completed(3, 2, 7, sim::SimTime{0} + sim::microseconds(1.0),
-                      sim::microseconds(1.0));
-  EXPECT_EQ(c.barriers(), 0u);
-}
-
-TEST(BreakdownCollectorTest, MeanPreservesSumInvariant) {
-  BreakdownCollector c;
-  const sim::SimTime t0{0};
-  for (std::uint32_t e = 0; e < 3; ++e) {
-    c.barrier_posted(1, 2, e, t0 + sim::microseconds(100.0 * e), sim::microseconds(2.0));
-    c.add_nic(1, 2, e, sim::microseconds(3.0 + e));
-    c.barrier_completed(1, 2, e, t0 + sim::microseconds(100.0 * e + 11.0 + 2.0 * e),
-                        sim::microseconds(6.0));
+TEST(TraceMaskTest, ParsesSingleNamesAndLists) {
+  EXPECT_EQ(sim::parse_trace_mask("sdma"),
+            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kSdma)));
+  EXPECT_EQ(sim::parse_trace_mask("recv,net"),
+            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kRecv) |
+                                         static_cast<std::uint32_t>(TraceCategory::kNet)));
+  EXPECT_EQ(sim::parse_trace_mask("all"),
+            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kAll)));
+  // Every documented name parses to exactly one bit (or kAll).
+  for (const char* name : {"sdma", "send", "recv", "rdma", "net"}) {
+    const auto m = sim::parse_trace_mask(name);
+    ASSERT_TRUE(m.has_value()) << name;
+    EXPECT_EQ(__builtin_popcount(*m), 1) << name;
   }
-  const CostBreakdown m = c.mean();
-  EXPECT_EQ(c.barriers(), 3u);
-  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-3);
-  EXPECT_DOUBLE_EQ(m.total_us, 13.0);
-  EXPECT_DOUBLE_EQ(m.nic_us, 4.0);
 }
 
-TEST(BreakdownCollectorTest, SnapshotExportsGauges) {
-  BreakdownCollector c;
-  c.barrier_posted(0, 2, 0, sim::SimTime{0}, sim::microseconds(1.0));
-  c.barrier_completed(0, 2, 0, sim::SimTime{0} + sim::microseconds(4.0),
-                      sim::microseconds(1.0));
+TEST(TraceMaskTest, RejectsUnknownAndEmptyElements) {
+  EXPECT_FALSE(sim::parse_trace_mask("").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("bogus").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("net,").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask(",net").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("sdma,,net").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("Net").has_value());  // case-sensitive
+  // Categories nothing emits are not accepted: masking on one would
+  // silently write an empty trace.
+  for (const char* name : {"host", "barrier", "reliab"}) {
+    EXPECT_FALSE(sim::parse_trace_mask(name).has_value()) << name;
+  }
+  // The error-message helper names every accepted category.
+  const std::string names = sim::trace_mask_names();
+  for (const char* name : {"sdma", "send", "recv", "rdma", "net", "all"}) {
+    EXPECT_NE(names.find(name), std::string::npos) << name;
+  }
+}
+
+// --- Eq. 1-2 cost rows ------------------------------------------------------------
+
+/// A profile with a distinct duration in every segment's self and queue
+/// slot, so a segment counted twice or dropped shows in the sums.
+PathProfile synthetic_profile(std::uint64_t barriers) {
+  PathProfile p;
+  p.barriers = barriers;
+  for (std::size_t s = 0; s < sim::causal::kSegmentCount; ++s) {
+    p.self[s] = sim::Duration{static_cast<std::int64_t>(1000 * (s + 1) + 7)};
+    p.queue[s] = sim::Duration{static_cast<std::int64_t>(10 * (s + 1) + 3)};
+    p.total += p.self[s] + p.queue[s];
+  }
+  return p;
+}
+
+TEST(BreakdownRowsTest, RowsSumToTotalExactly) {
+  const PathProfile p = synthetic_profile(1);
+  const auto self = [&p](Segment s) { return p.self[static_cast<std::size_t>(s)]; };
+  const CostRows r = sim::causal::cost_rows(p);
+  EXPECT_EQ(r.barriers, 1u);
+  EXPECT_EQ(r.host, self(Segment::kHost));
+  EXPECT_EQ(r.nic, self(Segment::kSdma) + self(Segment::kSend) + self(Segment::kRecv) +
+                       self(Segment::kFirmware) + self(Segment::kRep));
+  EXPECT_EQ(r.rdma, self(Segment::kRdma));
+  EXPECT_EQ(r.wire, self(Segment::kWire) + self(Segment::kSwitch));
+  sim::Duration queue{0};
+  for (const sim::Duration q : p.queue) queue += q;
+  EXPECT_EQ(r.queue, queue);
+  EXPECT_EQ(r.total, p.total);
+  EXPECT_EQ(r.sum().ps(), r.total.ps());  // no residual: exact in integer ps
+}
+
+TEST(BreakdownRowsTest, EmptyProfileHasNoBarriersAndZeroRows) {
+  const CostRows r = sim::causal::cost_rows(PathProfile{});
+  EXPECT_EQ(r.barriers, 0u);
+  EXPECT_EQ(r.sum().ps(), 0);
+  EXPECT_EQ(r.total.ps(), 0);
+  EXPECT_DOUBLE_EQ(r.mean_us(r.total), 0.0);  // no division by zero
+}
+
+TEST(BreakdownRowsTest, MeansOverManyBarriersKeepTheSumExact) {
+  const CostRows r = sim::causal::cost_rows(synthetic_profile(3));
+  EXPECT_EQ(r.barriers, 3u);
+  EXPECT_EQ(r.sum(), r.total);
+  EXPECT_DOUBLE_EQ(r.mean_us(r.total), r.total.us() / 3.0);
+  EXPECT_NEAR(r.mean_us(r.host) + r.mean_us(r.nic) + r.mean_us(r.rdma) + r.mean_us(r.wire) +
+                  r.mean_us(r.queue),
+              r.mean_us(r.total), 1e-12);
+}
+
+TEST(BreakdownRowsTest, SnapshotExportsTheRowsAsGauges) {
+  const CostRows r = sim::causal::cost_rows(synthetic_profile(2));
   MetricsRegistry m;
-  c.snapshot(m);
+  r.snapshot(m);
   ASSERT_NE(m.find_counter("breakdown.barriers"), nullptr);
-  EXPECT_EQ(*m.find_counter("breakdown.barriers"), 1u);
-  ASSERT_NE(m.find_gauge("breakdown.total_us"), nullptr);
-  EXPECT_DOUBLE_EQ(*m.find_gauge("breakdown.total_us"), 4.0);
+  EXPECT_EQ(*m.find_counter("breakdown.barriers"), 2u);
+  const std::pair<const char*, sim::Duration> rows[] = {
+      {"breakdown.host_us", r.host}, {"breakdown.nic_us", r.nic},
+      {"breakdown.rdma_us", r.rdma}, {"breakdown.wire_us", r.wire},
+      {"breakdown.queue_us", r.queue}, {"breakdown.total_us", r.total}};
+  for (const auto& [name, d] : rows) {
+    ASSERT_NE(m.find_gauge(name), nullptr) << name;
+    EXPECT_DOUBLE_EQ(*m.find_gauge(name), r.mean_us(d)) << name;
+  }
 }
 
 // --- End-to-end: a real NIC barrier with the bundle attached ---------------------
@@ -371,25 +419,59 @@ TEST(TelemetryIntegrationTest, EngineCyclesCoverProcessorBusyTime) {
 
 TEST(TelemetryIntegrationTest, BreakdownTermsSumWithinOneNanosecond) {
   Telemetry t;
-  t.enable_breakdown();
+  t.enable_causal();
   const int reps = 4;
   coll::ExperimentParams p = instrumented_params(t, reps);
   const coll::ExperimentResult r = coll::run_barrier_experiment(p);
 
-  const BreakdownCollector* bc = t.breakdown();
-  ASSERT_NE(bc, nullptr);
-  EXPECT_EQ(bc->barriers(), p.nodes * static_cast<std::uint64_t>(reps));
-  const CostBreakdown m = bc->mean();
-  EXPECT_GT(m.total_us, 0.0);
-  EXPECT_GT(m.host_us, 0.0);
-  EXPECT_GT(m.nic_us, 0.0);
-  EXPECT_GT(m.dma_us, 0.0);
-  EXPECT_GT(m.wire_us, 0.0);
-  EXPECT_NEAR(m.sum_us(), m.total_us, 1e-3);  // within 1 ns
-  EXPECT_NEAR(m.sum_us() - m.wait_us + m.wait_us, m.total_us, 1e-3);
+  const CostRows rows = sim::causal::cost_rows(t.causal()->profile());
+  EXPECT_EQ(rows.barriers, p.nodes * static_cast<std::uint64_t>(reps));
+  EXPECT_GT(rows.host.ps(), 0);
+  EXPECT_GT(rows.nic.ps(), 0);
+  EXPECT_GT(rows.rdma.ps(), 0);
+  EXPECT_GT(rows.wire.ps(), 0);
+  // Exactly, not just within the 1 ns of the name: the rows have no residual.
+  EXPECT_EQ(rows.sum().ps(), rows.total.ps());
   // The per-member barrier latency must be in the same regime as the
   // experiment's reported mean (they measure slightly different intervals).
-  EXPECT_NEAR(m.total_us, r.mean_us, 0.25 * r.mean_us);
+  EXPECT_NEAR(rows.mean_us(rows.total), r.mean_us, 0.25 * r.mean_us);
+}
+
+TEST(TelemetryIntegrationTest, HostBarrierRunHasNoBreakdownRows) {
+  // Host-based barriers are ordinary message loops: no completion event,
+  // so no critical path and no rows.
+  Telemetry t;
+  t.enable_causal();
+  coll::ExperimentParams p = instrumented_params(t, 3);
+  p.spec.location = coll::Location::kHost;
+  (void)coll::run_barrier_experiment(p);
+  const CostRows rows = sim::causal::cost_rows(t.causal()->profile());
+  EXPECT_EQ(rows.barriers, 0u);
+  EXPECT_EQ(rows.sum().ps(), 0);
+}
+
+TEST(TelemetryIntegrationTest, Fig5NicPe16LanaiRowsArePinnedInPicoseconds) {
+  // Golden: the paper's 16-node NIC-PE point on LANai 4.3, contention-free,
+  // so every member-barrier has the same critical path and the rows are
+  // 160 times the per-barrier Eq. 1-2 terms.
+  Telemetry t;
+  t.enable_causal();
+  coll::ExperimentParams p;
+  p.nodes = 16;
+  p.reps = 10;
+  p.spec.location = coll::Location::kNic;
+  p.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
+  p.cluster.nic = nic::lanai43();
+  p.cluster.telemetry = &t;
+  (void)coll::run_barrier_experiment(p);
+  const CostRows rows = sim::causal::cost_rows(t.causal()->profile());
+  EXPECT_EQ(rows.barriers, 160u);
+  EXPECT_EQ(rows.host.ps(), 1'280'000'000);
+  EXPECT_EQ(rows.nic.ps(), 13'430'301'600);
+  EXPECT_EQ(rows.rdma.ps(), 881'939'360);
+  EXPECT_EQ(rows.wire.ps(), 520'000'000);
+  EXPECT_EQ(rows.queue.ps(), 0);
+  EXPECT_EQ(rows.total.ps(), 16'112'240'960);
 }
 
 TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
@@ -442,14 +524,22 @@ TEST(TelemetryIntegrationTest, TraceMaskFiltersEndToEnd) {
   EXPECT_GT(masked.trace()->event_count(), 0u);
   EXPECT_LT(masked.trace()->event_count(), full.trace()->event_count());
 
-  // The NIC engines emit sdma/send/recv/rdma sink events; nothing carries the
-  // barrier category, so masking on it empties the stream entirely.
-  Telemetry none;
-  none.enable_trace().set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kBarrier));
-  coll::ExperimentParams p3 = p;
-  p3.cluster.telemetry = &none;
-  (void)coll::run_barrier_experiment(p3);
-  EXPECT_EQ(none.trace()->event_count(), 0u);
+  // Every event carries exactly one emitted category (the NIC engines,
+  // PCI as rdma, and the links), so the single-category streams partition
+  // the full one and none of them is empty.
+  std::size_t partitioned = 0;
+  for (const TraceCategory c : {TraceCategory::kSdma, TraceCategory::kSend,
+                                TraceCategory::kRecv, TraceCategory::kRdma,
+                                TraceCategory::kNet}) {
+    Telemetry one;
+    one.enable_trace().set_mask(static_cast<std::uint32_t>(c));
+    coll::ExperimentParams p3 = p;
+    p3.cluster.telemetry = &one;
+    (void)coll::run_barrier_experiment(p3);
+    EXPECT_GT(one.trace()->event_count(), 0u) << static_cast<std::uint32_t>(c);
+    partitioned += one.trace()->event_count();
+  }
+  EXPECT_EQ(partitioned, full.trace()->event_count());
 
   std::ostringstream os;
   full.trace()->write_json(os);
@@ -474,7 +564,7 @@ TEST(TelemetryIntegrationTest, DetachedTelemetryKeepsTimelineIdentical) {
 
   Telemetry t;
   t.enable_trace();
-  t.enable_breakdown();
+  t.enable_causal();
   coll::ExperimentParams wired = plain;
   wired.cluster.telemetry = &t;
   const double wired_us = coll::run_barrier_experiment(wired).mean_us;

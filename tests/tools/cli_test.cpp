@@ -232,11 +232,11 @@ TEST(CliTest, CheckRejectsGarbageAndSingleRunArtifacts) {
 
 TEST(CliTest, TraceMaskParsesCategoryLists) {
   std::string err;
-  auto o = parse_args({"--trace-json", "t.json", "--trace-mask", "barrier,reliab"}, err);
+  auto o = parse_args({"--trace-json", "t.json", "--trace-mask", "recv,rdma"}, err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_TRUE(o->have_trace_mask);
-  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kBarrier) |
-                               static_cast<std::uint32_t>(sim::TraceCategory::kReliab));
+  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kRecv) |
+                               static_cast<std::uint32_t>(sim::TraceCategory::kRdma));
 
   o = parse_args({"--trace-json=t.json", "--trace-mask=net"}, err);  // = form too
   ASSERT_TRUE(o.has_value()) << err;
@@ -253,14 +253,18 @@ TEST(CliTest, TraceMaskRejectsUnknownNamesWithTheAcceptedList) {
   std::string err;
   EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", "bogus"}, err).has_value());
   EXPECT_NE(err.find("--trace-mask"), std::string::npos);
-  EXPECT_NE(err.find("barrier"), std::string::npos);  // names the accepted set
+  EXPECT_NE(err.find("sdma,send,recv,rdma,net"), std::string::npos);  // names the accepted set
+  // Categories nothing emits are rejected with the same diagnostic.
+  EXPECT_FALSE(
+      parse_args({"--trace-json", "t.json", "--trace-mask", "barrier"}, err).has_value());
+  EXPECT_NE(err.find("unknown category"), std::string::npos);
   EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", ""}, err).has_value());
   EXPECT_FALSE(parse_args({"--trace-mask"}, err).has_value());
 }
 
 TEST(CliTest, TraceMaskRequiresTraceJson) {
   std::string err;
-  EXPECT_FALSE(parse_args({"--trace-mask", "barrier"}, err).has_value());
+  EXPECT_FALSE(parse_args({"--trace-mask", "net"}, err).has_value());
   EXPECT_NE(err.find("--trace-json"), std::string::npos);
 }
 
@@ -350,13 +354,15 @@ TEST(CliTest, PdesWorkersRejectsZeroAndGarbage) {
 
 TEST(CliTest, PdesWorkersExcludesSingleLaneCollectors) {
   std::string err;
-  EXPECT_FALSE(parse_args({"--pdes-workers", "4", "--breakdown"}, err).has_value());
-  EXPECT_NE(err.find("--pdes-workers"), std::string::npos);
+  // The Chrome trace sink records in global wall order: single-lane only.
   EXPECT_FALSE(parse_args({"--pdes-workers", "4", "--trace-json", "t.json"}, err).has_value());
-  // --pdes-workers 1 keeps the serial engine, so the collectors stay legal.
-  EXPECT_TRUE(parse_args({"--pdes-workers", "1", "--breakdown"}, err).has_value()) << err;
-  // The sharded causal tracer works under PDES.
+  EXPECT_NE(err.find("--pdes-workers"), std::string::npos);
+  // --pdes-workers 1 keeps the serial engine, so the sink stays legal.
+  EXPECT_TRUE(parse_args({"--pdes-workers", "1", "--trace-json", "t.json"}, err).has_value())
+      << err;
+  // The sharded causal tracer works under PDES, and --breakdown is a view of it.
   EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--critical-path"}, err).has_value()) << err;
+  EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--breakdown"}, err).has_value()) << err;
 }
 
 TEST(CliTest, PdesWorkersIsExperimentOnly) {

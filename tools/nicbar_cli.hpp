@@ -13,7 +13,7 @@
 
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
-#include "sim/trace.hpp"
+#include "sim/telemetry.hpp"
 
 namespace nicbar::cli {
 
@@ -122,14 +122,17 @@ inline const char* usage_text() {
       "                     (default 1 = serial). The timeline, counters, and\n"
       "                     causal record are bit-identical for every N; only\n"
       "                     wall-clock time changes. Not available with\n"
-      "                     --breakdown/--trace-json (those collectors are\n"
-      "                     single-lane) or the workload/check subcommands\n"
+      "                     --trace-json (that sink is single-lane) or the\n"
+      "                     workload/check subcommands\n"
       "  --predict          also print the Eq. 1-3 analytic prediction\n"
-      "  --breakdown        print the per-barrier Eq. 1-2 cost breakdown\n"
+      "  --breakdown        print the Eq. 1-2 cost breakdown: the critical-path\n"
+      "                     attribution grouped into host / NIC / RDMA / wire /\n"
+      "                     queue rows that sum to the total exactly (turns on\n"
+      "                     causal tracing, like --critical-path)\n"
       "  --metrics-json F   write hardware counters/gauges as JSON to F\n"
       "  --trace-json F     write a Chrome trace-event file (Perfetto) to F\n"
       "  --trace-mask LIST  restrict --trace-json to a comma-separated category\n"
-      "                     list (host,sdma,send,recv,rdma,net,barrier,reliab,all)\n"
+      "                     list (sdma,send,recv,rdma,net,all)\n"
       "  --critical-path    single run: trace causality and print the exact\n"
       "                     critical path + per-segment attribution (Eq. 1-2\n"
       "                     terms); fails if the DAG is cyclic or unattributed\n"
@@ -454,10 +457,10 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
     }
   }
 
-  if (o.pdes_given && o.params.cluster.pdes_partitions > 1 &&
-      (o.breakdown || !o.trace_path.empty())) {
-    return fail("--breakdown/--trace-json collectors are single-lane; not available "
-                "with --pdes-workers > 1 (--critical-path and --metrics-json are)");
+  if (o.pdes_given && o.params.cluster.pdes_partitions > 1 && !o.trace_path.empty()) {
+    return fail("--trace-json records in global wall order and is single-lane; not "
+                "available with --pdes-workers > 1 (--breakdown, --critical-path and "
+                "--metrics-json are)");
   }
   if (o.pdes_given && (o.workload || o.check)) {
     return fail("--pdes-workers applies to a single barrier experiment; not "

@@ -196,6 +196,35 @@ int print_critical_path(const sim::causal::CausalTracer& causal) {
   return 0;
 }
 
+/// --breakdown: the Eq. 1-2 cost rows of the critical-path profile, as the
+/// mean per member-barrier and as each row's exact sum over all of them.
+/// Non-zero exit if the rows do not add up to the total to the picosecond.
+int print_breakdown(const sim::causal::CostRows& rows) {
+  if (rows.barriers == 0) {
+    std::printf("\nno cost breakdown: no NIC barrier completed (host-based barriers are "
+                "ordinary\nmessage loops with no completion event to trace)\n");
+    return 0;
+  }
+  std::printf("\ncost breakdown (Eq. 1-2 rows of the critical path, %llu member-barriers):\n",
+              static_cast<unsigned long long>(rows.barriers));
+  std::printf("  %-18s   %10s    %16s\n", "", "mean", "sum");
+  const auto row = [&rows](const char* name, sim::Duration d) {
+    std::printf("  %-18s : %10.4f us %16lld ps\n", name, rows.mean_us(d),
+                static_cast<long long>(d.ps()));
+  };
+  row("host software", rows.host);
+  row("NIC processing", rows.nic);
+  row("RDMA (setup + PCI)", rows.rdma);
+  row("wire (network)", rows.wire);
+  row("queue (contention)", rows.queue);
+  row("total", rows.total);
+  if (rows.sum() != rows.total) {
+    std::fprintf(stderr, "error: cost-breakdown rows do not sum to the critical-path total\n");
+    return 1;
+  }
+  return 0;
+}
+
 void print_tail(const char* name, const wl::TailStats& t) {
   std::printf("%-14s count=%llu mean=%.2f p50=%.2f p95=%.2f p99=%.2f max=%.2f us\n", name,
               static_cast<unsigned long long>(t.count), t.mean_us, t.p50_us, t.p95_us, t.p99_us,
@@ -488,8 +517,7 @@ int main(int argc, char** argv) {
       o.breakdown || !o.metrics_path.empty() || !o.trace_path.empty() || o.critical_path;
   if (want_telemetry) {
     if (!o.trace_path.empty()) telemetry.enable_trace().set_mask(o.trace_mask);
-    if (o.breakdown) telemetry.enable_breakdown();
-    if (o.critical_path) telemetry.enable_causal();
+    if (o.breakdown || o.critical_path) telemetry.enable_causal();
     p.cluster.telemetry = &telemetry;
   }
 
@@ -552,27 +580,13 @@ int main(int argc, char** argv) {
                 100.0 * (mean_us - eq) / eq);
   }
 
-  if (o.breakdown) {
-    const auto* bc = telemetry.breakdown();
-    const sim::telemetry::CostBreakdown b = bc->mean();
-    if (bc->barriers() == 0) {
-      std::printf(
-          "\nno cost breakdown: --breakdown instruments the NIC barrier token "
-          "path;\nhost-based barriers are ordinary message loops with no "
-          "post/complete hook.\n");
-    } else {
-      std::printf("\ncost breakdown (mean over %llu member-barriers, Eq. 1-2 terms):\n",
-                  static_cast<unsigned long long>(bc->barriers()));
-      std::printf("  host software      : %10.3f us\n", b.host_us);
-      std::printf("  NIC processing     : %10.3f us\n", b.nic_us);
-      std::printf("  DMA (PCI)          : %10.3f us\n", b.dma_us);
-      std::printf("  wire (network)     : %10.3f us\n", b.wire_us);
-      std::printf("  wait (peer skew)   : %10.3f us\n", b.wait_us);
-      std::printf("  total              : %10.3f us\n", b.total_us);
-    }
-  }
   int rc = 0;
-  if (o.critical_path) rc = print_critical_path(*telemetry.causal());
+  if (o.breakdown) {
+    const sim::causal::CostRows rows = sim::causal::cost_rows(telemetry.causal()->profile());
+    rc = print_breakdown(rows);
+    rows.snapshot(telemetry.metrics());
+  }
+  if (o.critical_path && print_critical_path(*telemetry.causal()) != 0) rc = 1;
   if (!o.metrics_path.empty()) {
     if (!write_file(o.metrics_path,
                     [&](std::ostream& os) { telemetry.metrics().write_json(os); })) {
