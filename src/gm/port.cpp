@@ -85,8 +85,9 @@ void Port::note_event_received(const GmEvent& ev) {
   // Sink span of the barrier's dependency DAG: the HRecv (+Layer) term of
   // Eq. 1-2 — host CPU consuming the completion event.
   const sim::Duration host = config_.host_recv_overhead + config_.layer_overhead;
-  const std::uint64_t sink = causal->record(sim::causal::Segment::kHost, node(), "host_recv",
-                                            sim_.now() - host, sim_.now(), ev.causal);
+  const std::uint64_t sink =
+      causal->record(sim::causal::Segment::kHost, node(), sim::causal::Unit::host(node()),
+                     "host_recv", sim_.now() - host, sim_.now(), ev.causal);
   causal->complete_barrier(node(), id_, ev.barrier_epoch, sink);
 }
 
@@ -124,8 +125,9 @@ sim::ValueTask<Epoch> Port::barrier_send(nic::BarrierToken token) {
     // caller may pre-seed token.causal with a provenance span (the
     // hierarchical barrier's representative hand-off); it becomes this
     // origin's parent, chaining the phases into one DAG.
-    token.causal = causal->record(sim::causal::Segment::kHost, node(), "barrier_post", t0,
-                                  sim_.now(), token.causal);
+    token.causal =
+        causal->record(sim::causal::Segment::kHost, node(), sim::causal::Unit::host(node()),
+                       "barrier_post", t0, sim_.now(), token.causal);
   }
   nic_.post_barrier_token(std::move(token));
   co_return Epoch{epoch};

@@ -43,14 +43,16 @@ Cluster::Cluster(ClusterParams params) : params_(std::move(params)) {
     nodes_.push_back(std::move(n));
   }
   if (params_.telemetry != nullptr) {
-    if (pdes_ != nullptr && params_.telemetry->trace() != nullptr) {
-      throw std::invalid_argument(
-          "pdes: the chrome trace sink records in global wall order and is "
-          "not shardable; run traced experiments with pdes_partitions = 1");
-    }
     for (auto& n : nodes_) n->nic->set_telemetry(params_.telemetry);
-    net_->set_trace_sink(params_.telemetry->trace());
     net_->set_causal(params_.telemetry->causal());
+    if (params_.telemetry->causal() != nullptr) {
+      // Link names for the Chrome trace, which is written after the run.
+      std::vector<sim::telemetry::TraceLink>& links = params_.telemetry->trace_links();
+      links.clear();
+      net_->for_each_link([&links](net::Link& l) {
+        links.push_back({l.name(), l.params().propagation});
+      });
+    }
     if (pdes_ != nullptr && params_.telemetry->causal() != nullptr) {
       // One span arena per lane; the worker binds its lane's shard before
       // every window, and run_all() canonicalizes the shards back into the

@@ -45,15 +45,11 @@ sim::SimTime Link::transmit(Packet p) {
   if (drop) {
     ++dropped_;
     const sim::SimTime done = wire_.submit(occupy);
-    if (trace_sink_ != nullptr) {
-      trace_sink_->duration(trace_track_, "drop", done - occupy, occupy, "net",
-                            sim::TraceCategory::kNet, p.id);
-    }
     if (causal_ != nullptr) {
       // Terminal span: the packet's chain ends here; a retransmission starts
       // a fresh SEND span from the sender's stored record.
-      causal_->record(sim::causal::Segment::kWire, p.dst_node, "wire_drop", done - occupy,
-                      done, p.causal, 0, p.id);
+      causal_->record(sim::causal::Segment::kWire, p.dst_node, sim::causal::Unit::link(uid_, false),
+                      "wire_drop", done - occupy, done, p.causal, 0, p.id);
     }
     // The wire is still burned for the packet's duration; nothing arrives.
     return done;
@@ -66,17 +62,13 @@ sim::SimTime Link::transmit(Packet p) {
   // Capture by shared copy: the closure outlives this stack frame.
   auto packet = std::make_shared<Packet>(std::move(p));
   const sim::SimTime done = wire_.submit(occupy);
-  if (trace_sink_ != nullptr) {
-    trace_sink_->duration(trace_track_, to_string(packet->type), done - occupy, occupy, "net",
-                          sim::TraceCategory::kNet, packet->id);
-  }
   if (causal_ != nullptr) {
     // One span per directed hop, covering serialisation and propagation:
     // [done - occupy, done + prop]. Queueing behind earlier packets on this
     // wire shows up as the gap between the parent's end and done - occupy.
-    packet->causal =
-        causal_->record(sim::causal::Segment::kWire, packet->dst_node, "wire",
-                        done - occupy, done + prop, packet->causal, 0, packet->id);
+    packet->causal = causal_->record(sim::causal::Segment::kWire, packet->dst_node,
+                                     sim::causal::Unit::link(uid_, true), "wire", done - occupy,
+                                     done + prop, packet->causal, 0, packet->id);
   }
   in_flight_.fetch_add(1, std::memory_order_relaxed);
   // Deliveries are *keyed*: at the arrival instant they fire in

@@ -20,7 +20,7 @@
 #include "sim/random.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
-#include "sim/telemetry.hpp"
+#include "sim/causal.hpp"
 
 namespace nicbar::net {
 
@@ -139,13 +139,6 @@ class Link {
   /// delivered (the receiver's CRC check discards them and pays the cost).
   void verify_conservation() const;
 
-  /// Attaches a trace sink: every transmission becomes one span on this
-  /// link's track. Pass nullptr to detach (the default, zero-cost state).
-  void set_trace_sink(sim::telemetry::TraceEventSink* sink) {
-    trace_sink_ = sink;
-    if (sink != nullptr) trace_track_ = sink->track("link/" + name());
-  }
-
   /// Attaches a causal tracer: every delivered packet gains a kWire span
   /// covering serialisation + propagation (so wire time is never mistaken
   /// for RECV-engine queueing). Nullptr detaches (default, zero-cost).
@@ -186,8 +179,6 @@ class Link {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> in_flight_{0};
   std::int64_t bytes_sent_ = 0;
-  sim::telemetry::TraceEventSink* trace_sink_ = nullptr;
-  int trace_track_ = 0;
   sim::causal::CausalTracer* causal_ = nullptr;
 };
 

@@ -80,12 +80,6 @@ class Network {
     return route(src, dst).size();
   }
 
-  /// Attaches (or detaches, with nullptr) a trace sink to every link in the
-  /// fabric. Call after the topology is fully built.
-  void set_trace_sink(sim::telemetry::TraceEventSink* sink) {
-    for (auto& l : links_) l->set_trace_sink(sink);
-  }
-
   /// Attaches (or detaches, with nullptr) a causal tracer to every link and
   /// switch in the fabric. Call after the topology is fully built.
   void set_causal(sim::causal::CausalTracer* causal) {

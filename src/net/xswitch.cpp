@@ -26,10 +26,10 @@ void Switch::accept(Packet p) {
   Link* link = out_[port];
   auto packet = std::make_shared<Packet>(std::move(p));
   if (causal_ != nullptr) {
-    packet->causal =
-        causal_->record(sim::causal::Segment::kSwitch, packet->dst_node, "route",
-                        sim_->now(), sim_->now() + params_.routing_latency, packet->causal,
-                        0, packet->id);
+    packet->causal = causal_->record(
+        sim::causal::Segment::kSwitch, packet->dst_node,
+        sim::causal::Unit::sw(static_cast<std::uint32_t>(id_)), "route", sim_->now(),
+        sim_->now() + params_.routing_latency, packet->causal, 0, packet->id);
   }
   ++in_pipeline_;
   sim_->schedule_in(params_.routing_latency, [this, link, packet]() mutable {

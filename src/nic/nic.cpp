@@ -43,63 +43,49 @@ Nic::Nic(sim::Simulator& sim, net::Network& net, NodeId node, NicConfig config,
       slots_(config_.barrier_slots) {}
 
 void Nic::set_telemetry(sim::telemetry::Telemetry* telemetry) {
-  tsink_ = telemetry != nullptr ? telemetry->trace() : nullptr;
   causal_ = telemetry != nullptr ? telemetry->causal() : nullptr;
-  if (tsink_ != nullptr) {
-    const std::string prefix = "nic" + std::to_string(node_) + "/";
-    for (std::size_t i = 0; i < kMcpEngineCount; ++i) {
-      engine_track_[i] = tsink_->track(prefix + to_string(static_cast<McpEngine>(i)));
-    }
-    pci_track_ = tsink_->track("node" + std::to_string(node_) + "/pci");
-    fault_track_ = tsink_->track(prefix + "fault");
-  }
 }
 
-namespace {
-
-/// TraceCategory of each MCP engine, for the sink-level --trace-mask filter.
-constexpr sim::TraceCategory engine_category(McpEngine e) {
-  switch (e) {
-    case McpEngine::kSdma: return sim::TraceCategory::kSdma;
-    case McpEngine::kSend: return sim::TraceCategory::kSend;
-    case McpEngine::kRecv: return sim::TraceCategory::kRecv;
-    case McpEngine::kRdma: return sim::TraceCategory::kRdma;
-  }
-  return sim::TraceCategory::kAll;
-}
-
-}  // namespace
-
-sim::SimTime Nic::engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                                std::function<void()> on_done, std::uint64_t trace_id) {
+sim::SimTime Nic::engine_charge(McpEngine engine, std::int64_t cycles,
+                                std::function<void()> on_done) {
   const auto i = static_cast<std::size_t>(engine);
   ++engines_.jobs[i];
   engines_.cycles[i] += cycles;
-  const sim::SimTime end = proc_.submit_cycles(cycles, std::move(on_done));
-  if (tsink_ != nullptr) {
-    const sim::Duration service = proc_.cycles(cycles);
-    tsink_->duration(engine_track_[i], job, end - service, service, "nic",
-                     engine_category(engine), trace_id);
-  }
-  return end;
+  return proc_.submit_cycles(cycles, std::move(on_done));
 }
 
-sim::SimTime Nic::pci_submit(const char* job, sim::Duration service,
-                             std::function<void()> on_done, std::uint64_t trace_id) {
+sim::causal::SpanId Nic::engine_submit(McpEngine engine, sim::causal::Segment seg,
+                                       const char* job, std::int64_t cycles,
+                                       std::function<void()> on_done,
+                                       sim::causal::SpanId parent,
+                                       sim::causal::SpanId parent2) {
+  const sim::SimTime end = engine_charge(engine, cycles, std::move(on_done));
+  return engine_span(engine, seg, job, end, cycles, parent, parent2);
+}
+
+sim::causal::SpanId Nic::pci_submit(sim::causal::Segment seg, const char* job,
+                                    sim::Duration service, std::function<void()> on_done,
+                                    sim::causal::SpanId parent) {
   const sim::SimTime end = pci_.submit(service, std::move(on_done));
-  if (tsink_ != nullptr) {
-    tsink_->duration(pci_track_, job, end - service, service, "pci",
-                     sim::TraceCategory::kRdma, trace_id);
-  }
-  return end;
+  if (causal_ == nullptr) return 0;
+  return causal_->record(seg, node_, sim::causal::Unit::pci(node_), job, end - service, end,
+                         parent);
 }
 
-std::uint64_t Nic::causal_engine_span(sim::causal::Segment seg, const char* label,
-                                      sim::SimTime end, std::int64_t cycles,
-                                      std::uint64_t parent, std::uint64_t parent2) {
+sim::causal::SpanId Nic::engine_span(McpEngine engine, sim::causal::Segment seg,
+                                     const char* label, sim::SimTime end, std::int64_t cycles,
+                                     sim::causal::SpanId parent, sim::causal::SpanId parent2) {
   if (causal_ == nullptr) return 0;
   const sim::Duration service = proc_.cycles(cycles);
-  return causal_->record(seg, node_, label, end - service, end, parent, parent2);
+  return causal_->record(seg, node_,
+                         sim::causal::Unit::engine(node_, static_cast<std::uint8_t>(engine)),
+                         label, end - service, end, parent, parent2);
+}
+
+void Nic::fault_instant(const char* label) {
+  if (causal_ == nullptr) return;
+  causal_->record(sim::causal::Segment::kFirmware, node_, sim::causal::Unit::nic(node_), label,
+                  sim_.now(), sim_.now());
 }
 
 Connection& Nic::conn(NodeId remote) { return conns_.get_or_create(remote); }
@@ -184,7 +170,8 @@ void Nic::provide_barrier_buffer(PortId p) { ++port(p).barrier_buffers; }
 void Nic::post_send_token(SendToken token) {
   // SDMA notices the token (poll loop) and programs the host->NIC DMA.
   engine_submit(
-      McpEngine::kSdma, "detect+setup", config_.sdma_detect_cycles + config_.sdma_setup_cycles,
+      McpEngine::kSdma, sim::causal::Segment::kSdma, "detect+setup",
+      config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token = std::move(token)]() mutable { sdma_start(std::move(token)); });
 }
 
@@ -203,9 +190,10 @@ void Nic::sdma_fragment(SendToken token, std::uint16_t index, std::uint16_t frag
       frag_count == 1 ? token.bytes : std::min(config_.mtu_bytes, token.bytes - offset);
   const sim::Duration dma =
       config_.pci_setup + sim::transfer_time(len, config_.pci_bandwidth_mbps);
-  pci_submit("sdma_dma", dma, [this, token = std::move(token), index, frag_count, len]() mutable {
+  pci_submit(sim::causal::Segment::kSdma, "sdma_dma", dma,
+             [this, token = std::move(token), index, frag_count, len]() mutable {
     engine_submit(
-        McpEngine::kSdma, "prepare", config_.sdma_prepare_cycles,
+        McpEngine::kSdma, sim::causal::Segment::kSdma, "prepare", config_.sdma_prepare_cycles,
         [this, token = std::move(token), index, frag_count, len]() mutable {
           Packet p;
           p.type = PacketType::kData;
@@ -232,19 +220,21 @@ void Nic::post_multicast_token(MulticastToken token) {
     throw std::invalid_argument("multicast payload exceeds the MTU");
   }
   engine_submit(
-      McpEngine::kSdma, "detect+setup", config_.sdma_detect_cycles + config_.sdma_setup_cycles,
+      McpEngine::kSdma, sim::causal::Segment::kSdma, "detect+setup",
+      config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token = std::move(token)]() mutable {
         // The decisive difference from a host-side send loop: ONE PCI
         // crossing regardless of the destination count.
         const sim::Duration dma =
             config_.pci_setup + sim::transfer_time(token.bytes, config_.pci_bandwidth_mbps);
-        pci_submit("mcast_dma", dma, [this, token = std::move(token)]() mutable {
+        pci_submit(sim::causal::Segment::kSdma, "mcast_dma", dma,
+                   [this, token = std::move(token)]() mutable {
           ++stats_.multicasts_sent;
           for (const Endpoint& dst : token.destinations) {
             // Per-destination packet preparation, pipelined on the processor.
             auto tok = std::make_shared<MulticastToken>(token);
-            engine_submit(McpEngine::kSdma, "prepare", config_.sdma_prepare_cycles,
-                          [this, tok, dst] {
+            engine_submit(McpEngine::kSdma, sim::causal::Segment::kSdma, "prepare",
+                          config_.sdma_prepare_cycles, [this, tok, dst] {
               Packet p;
               p.type = PacketType::kData;
               p.src_node = node_;
@@ -282,15 +272,18 @@ void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
     return;
   }
   // Stamp the fabric-unique id here (not at injection) so loopback packets
-  // and the SEND-side trace flow event carry it too.
+  // carry it too.
   if (p.id == 0) p.id = net_.allocate_packet_id(node_);
   const std::int64_t cost =
       send_cycles_override >= 0
           ? send_cycles_override
           : (net::is_barrier_payload(p.type) ? config_.barrier_send_cycles : config_.send_cycles);
   auto packet = std::make_shared<Packet>(std::move(p));
-  const sim::SimTime end =
-      engine_submit(McpEngine::kSend, "tx", cost, [this, packet]() mutable {
+  // The packet's causal chain now ends at this SEND-engine span; wire and
+  // switch hops extend it in flight.
+  packet->causal = engine_submit(
+      McpEngine::kSend, sim::causal::Segment::kSend, "tx", cost,
+      [this, packet]() mutable {
         if (packet->dst_node == node_) {
           // Same-NIC delivery: skip the fabric, model a short internal turnaround.
           Packet copy = *packet;
@@ -299,18 +292,8 @@ void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
           return;
         }
         net_.inject(std::move(*packet));
-      }, packet->id);
-  if (causal_ != nullptr) {
-    // The packet's causal chain now ends at this SEND-engine span; wire and
-    // switch hops extend it in flight.
-    packet->causal = causal_engine_span(sim::causal::Segment::kSend, "tx", end, cost,
-                                        packet->causal);
-  }
-  if (tsink_ != nullptr && !net::is_control(packet->type) && packet->id != 0) {
-    tsink_->flow_start(engine_track_[static_cast<std::size_t>(McpEngine::kSend)], "pkt",
-                       end - proc_.cycles(cost), packet->id, "nic",
-                       sim::TraceCategory::kSend);
-  }
+      },
+      packet->causal);
 }
 
 void Nic::send_control(Packet p) {
@@ -329,8 +312,8 @@ void Nic::rx_packet(Packet p) {
   if (p.corrupted) {
     // The CRC check runs after the whole packet has streamed in, so the
     // RECV engine pays its full occupancy before discarding.
-    engine_submit(McpEngine::kRecv, "rx_crc_drop", config_.recv_cycles,
-                  [this] { ++stats_.crc_drops; });
+    engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_crc_drop",
+                  config_.recv_cycles, [this] { ++stats_.crc_drops; }, p.causal);
     return;
   }
   if (const Connection* c = conns_.find(p.src_node); c != nullptr && c->dead) {
@@ -349,69 +332,39 @@ void Nic::rx_packet(Packet p) {
     case PacketType::kRmaGet:
     case PacketType::kRmaCas:
     case PacketType::kRmaReply:
-    case PacketType::kData: {
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRecv, "rx_data", config_.recv_cycles,
-                        [this, packet]() mutable { recv_data(std::move(*packet)); },
-                        packet->id);
-      if (causal_ != nullptr) {
-        packet->causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_data", end,
-                                            config_.recv_cycles, packet->causal);
-      }
-      if (tsink_ != nullptr && packet->id != 0) {
-        tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), packet->id, "nic",
-                         sim::TraceCategory::kRecv);
-      }
+    case PacketType::kData:
+      packet->causal = engine_submit(
+          McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_data", config_.recv_cycles,
+          [this, packet]() mutable { recv_data(std::move(*packet)); }, packet->causal);
       break;
-    }
-    case PacketType::kAck: {
-      const sim::SimTime end = engine_submit(McpEngine::kRecv, "rx_ack",
-                                             config_.recv_ack_cycles,
-                                             [this, packet] { recv_ack(*packet); }, packet->id);
-      if (causal_ != nullptr) {
-        causal_engine_span(sim::causal::Segment::kRecv, "rx_ack", end,
-                           config_.recv_ack_cycles, packet->causal);
-      }
+    case PacketType::kAck:
+      engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_ack",
+                    config_.recv_ack_cycles, [this, packet] { recv_ack(*packet); },
+                    packet->causal);
       break;
-    }
-    case PacketType::kNack: {
-      const sim::SimTime end = engine_submit(McpEngine::kRecv, "rx_nack",
-                                             config_.recv_ack_cycles,
-                                             [this, packet] { recv_nack(*packet); }, packet->id);
-      if (causal_ != nullptr) {
-        causal_engine_span(sim::causal::Segment::kRecv, "rx_nack", end,
-                           config_.recv_ack_cycles, packet->causal);
-      }
+    case PacketType::kNack:
+      engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_nack",
+                    config_.recv_ack_cycles, [this, packet] { recv_nack(*packet); },
+                    packet->causal);
       break;
-    }
     case PacketType::kBarrierPe:
     case PacketType::kBarrierGather:
     case PacketType::kBarrierBcast:
     case PacketType::kReduceUp:
-    case PacketType::kReduceDown: {
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRecv, "rx_barrier", config_.recv_cycles,
-                        [this, packet]() mutable { barrier_rx(std::move(*packet)); },
-                        packet->id);
-      if (causal_ != nullptr) {
-        packet->causal = causal_engine_span(sim::causal::Segment::kRecv, "rx_barrier", end,
-                                            config_.recv_cycles, packet->causal);
-      }
-      if (tsink_ != nullptr && packet->id != 0) {
-        tsink_->flow_end(engine_track_[static_cast<std::size_t>(McpEngine::kRecv)], "pkt",
-                         end - proc_.cycles(config_.recv_cycles), packet->id, "nic",
-                         sim::TraceCategory::kRecv);
-      }
+    case PacketType::kReduceDown:
+      packet->causal = engine_submit(
+          McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier", config_.recv_cycles,
+          [this, packet]() mutable { barrier_rx(std::move(*packet)); }, packet->causal);
       break;
-    }
     case PacketType::kBarrierAck:
-      engine_submit(McpEngine::kRecv, "rx_barrier_ack", config_.recv_ack_cycles,
-                    [this, packet] { barrier_recv_barrier_ack(*packet); });
+      engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier_ack",
+                    config_.recv_ack_cycles, [this, packet] { barrier_recv_barrier_ack(*packet); },
+                    packet->causal);
       break;
     case PacketType::kBarrierNack:
-      engine_submit(McpEngine::kRecv, "rx_barrier_nack", config_.recv_ack_cycles,
-                    [this, packet] { barrier_handle_nack(*packet); });
+      engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier_nack",
+                    config_.recv_ack_cycles, [this, packet] { barrier_handle_nack(*packet); },
+                    packet->causal);
       break;
   }
 }
@@ -455,14 +408,9 @@ void Nic::accept_in_order(Packet p) {
                                   ? config_.barrier_pe_cycles
                                   : config_.barrier_gb_cycles;
     auto packet = std::make_shared<Packet>(std::move(p));
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                      packet->id);
-    if (causal_ != nullptr) {
-      packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                          end, cost, packet->causal);
-    }
+    packet->causal = engine_submit(
+        McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
     return;
   }
   if (net::is_rma_payload(p.type)) {
@@ -603,7 +551,7 @@ void Nic::declare_peer_dead(NodeId remote) {
   sim_.cancel(c.barrier_retransmit_timer);
   c.sent_list.clear();
   c.barrier_sent_list.clear();
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "peer_dead", sim_.now(), "fault");
+  fault_instant("peer_dead");
   GmEvent ev;
   ev.type = GmEventType::kPeerDead;
   ev.peer = Endpoint{remote, 0};
@@ -622,7 +570,7 @@ void Nic::crash() {
   if (crashed_) return;
   crashed_ = true;
   ++stats_.nic_crashes;
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "crash", sim_.now(), "fault");
+  fault_instant("crash");
   // The firmware's timers die with the processor; connection bookkeeping
   // survives in host/NIC SRAM and is replayed by restart().
   conns_.for_each([this](NodeId, Connection& c) {
@@ -635,7 +583,7 @@ void Nic::restart() {
   if (!crashed_) return;
   crashed_ = false;
   ++stats_.nic_restarts;
-  if (tsink_ != nullptr) tsink_->instant(fault_track_, "restart", sim_.now(), "fault");
+  fault_instant("restart");
   // Replay everything unacknowledged on both streams; the receiver's
   // duplicate suppression makes this safe.
   conns_.for_each([this](NodeId remote, Connection& c) {
@@ -681,12 +629,13 @@ void Nic::deliver_to_host(Packet p) {
     ps.recv_tokens.pop_front();
   }
   auto packet = std::make_shared<Packet>(std::move(p));
-  const sim::SimTime setup_end = engine_submit(
-      McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles, [this, packet] {
+  packet->causal = engine_submit(
+      McpEngine::kRdma, sim::causal::Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+      [this, packet] {
         const sim::Duration dma =
             config_.pci_setup +
             sim::transfer_time(packet->payload_bytes, config_.pci_bandwidth_mbps);
-        const sim::SimTime dma_end = pci_submit("rdma_dma", dma, [this, packet] {
+        packet->causal = pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma, [this, packet] {
           // The host sees one event per *message*, on the final fragment.
           if (packet->frag_index + 1 != packet->frag_count) return;
           GmEvent ev;
@@ -697,16 +646,9 @@ void Nic::deliver_to_host(Packet p) {
           ev.value = packet->value;
           ev.causal = packet->causal;
           push_event(packet->dst_port, ev);
-        }, packet->id);
-        if (causal_ != nullptr) {
-          packet->causal = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
-                                           dma_end - dma, dma_end, packet->causal);
-        }
-      }, packet->id);
-  if (causal_ != nullptr) {
-    packet->causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
-                                        config_.rdma_setup_cycles, packet->causal);
-  }
+        }, packet->causal);
+      },
+      packet->causal);
 }
 
 void Nic::push_event(PortId p, GmEvent ev) {

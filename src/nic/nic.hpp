@@ -233,9 +233,8 @@ class Nic {
   [[nodiscard]] std::size_t connections_allocated() const { return conns_.allocated(); }
 
   /// Attaches the cluster's telemetry bundle (nullptr detaches). The NIC
-  /// caches the sink pointers so every hot-path hook is one branch.
+  /// caches the causal tracer pointer so every hot-path hook is one branch.
   void set_telemetry(sim::telemetry::Telemetry* telemetry);
-  [[nodiscard]] sim::telemetry::TraceEventSink* trace_sink() const { return tsink_; }
   [[nodiscard]] sim::causal::CausalTracer* causal_tracer() const { return causal_; }
 
   /// True if the port currently has an active (incomplete) barrier.
@@ -280,21 +279,29 @@ class Nic {
   }
 
   // --- Telemetry helpers -----------------------------------------------------
-  /// Charges `cycles` on the shared processor, attributed to `engine`; emits
-  /// a span named `job` on the engine's trace track when a sink is attached.
-  /// `trace_id` (a packet id or causal span id) is carried on the trace event.
-  sim::SimTime engine_submit(McpEngine engine, const char* job, std::int64_t cycles,
-                             std::function<void()> on_done = nullptr,
-                             std::uint64_t trace_id = 0);
-  /// Occupies the PCI bus for `service`; emits a span when a sink is attached.
-  sim::SimTime pci_submit(const char* job, sim::Duration service,
-                          std::function<void()> on_done = nullptr,
-                          std::uint64_t trace_id = 0);
-  /// Records a causal span for an engine job that ended at `end` after
+  /// Charges `cycles` on the shared processor, attributed to `engine`, and
+  /// records the job as a span of `seg` named `job` on the engine's unit.
+  /// Returns the span id (0 when causal tracing is detached).
+  sim::causal::SpanId engine_submit(McpEngine engine, sim::causal::Segment seg, const char* job,
+                                    std::int64_t cycles, std::function<void()> on_done = nullptr,
+                                    sim::causal::SpanId parent = 0,
+                                    sim::causal::SpanId parent2 = 0);
+  /// engine_submit without the span, for a job whose time the caller splits
+  /// across spans itself. Returns the job's end.
+  sim::SimTime engine_charge(McpEngine engine, std::int64_t cycles,
+                             std::function<void()> on_done);
+  /// Occupies the PCI bus for `service` and records it as a span of `seg`
+  /// named `job` on the bus's unit. Returns the span id (0 when detached).
+  sim::causal::SpanId pci_submit(sim::causal::Segment seg, const char* job,
+                                 sim::Duration service, std::function<void()> on_done = nullptr,
+                                 sim::causal::SpanId parent = 0);
+  /// Records a span on `engine`'s unit for work that ended at `end` after
   /// `cycles` of processor time; returns 0 when causal tracing is detached.
-  std::uint64_t causal_engine_span(sim::causal::Segment seg, const char* label,
-                                   sim::SimTime end, std::int64_t cycles,
-                                   std::uint64_t parent, std::uint64_t parent2 = 0);
+  sim::causal::SpanId engine_span(McpEngine engine, sim::causal::Segment seg, const char* label,
+                                  sim::SimTime end, std::int64_t cycles,
+                                  sim::causal::SpanId parent, sim::causal::SpanId parent2 = 0);
+  /// A zero-length span on the NIC's fault track (crash, restart, peer give-up).
+  void fault_instant(const char* label);
 
   // --- SDMA / SEND ------------------------------------------------------------
   void sdma_start(SendToken token);
@@ -386,12 +393,8 @@ class Nic {
   SlotTable slots_;
   bool crashed_ = false;
   EngineStats engines_;
-  // Telemetry (all null/zero when detached; every hook is one branch).
-  sim::telemetry::TraceEventSink* tsink_ = nullptr;
+  // Causal tracer (null when detached; every hook is one branch).
   sim::causal::CausalTracer* causal_ = nullptr;
-  int engine_track_[kMcpEngineCount] = {};
-  int pci_track_ = 0;
-  int fault_track_ = 0;
 };
 
 }  // namespace nicbar::nic

@@ -29,6 +29,12 @@ bool contains(const std::vector<Endpoint>& v, Endpoint e) {
   return false;
 }
 
+/// Firmware decisions (joins, representative hops) are zero-length spans
+/// shown on the RDMA engine, where the barrier advance logic runs (§4.2).
+sim::causal::Unit advance_unit(NodeId node) {
+  return sim::causal::Unit::engine(node, static_cast<std::uint8_t>(McpEngine::kRdma));
+}
+
 }  // namespace
 
 // --- Initiation (SDMA side) ------------------------------------------------------
@@ -48,19 +54,17 @@ void Nic::post_barrier_token(BarrierToken token) {
     cycles += entries * config_.barrier_hier_init_per_entry_cycles;
   }
   auto tok = std::make_shared<BarrierToken>(std::move(token));
-  const sim::SimTime end =
-      engine_submit(McpEngine::kSdma, "barrier_init", cycles,
-                    [this, tok]() mutable { barrier_start(std::move(*tok)); });
+  const sim::SimTime end = engine_charge(
+      McpEngine::kSdma, cycles, [this, tok]() mutable { barrier_start(std::move(*tok)); });
   if (causal_ != nullptr) {
     // One engine job covers both the SDMA token detection and the firmware
     // barrier initiation; attribute each half to its own segment.
     const std::int64_t init_cycles = cycles - config_.sdma_detect_cycles;
     const std::uint64_t detect =
-        causal_engine_span(sim::causal::Segment::kSdma, "sdma_detect",
-                           end - proc_.cycles(init_cycles), config_.sdma_detect_cycles,
-                           tok->causal);
-    tok->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_init", end,
-                                     init_cycles, detect);
+        engine_span(McpEngine::kSdma, sim::causal::Segment::kSdma, "sdma_detect",
+                    end - proc_.cycles(init_cycles), config_.sdma_detect_cycles, tok->causal);
+    tok->causal = engine_span(McpEngine::kSdma, sim::causal::Segment::kFirmware, "barrier_init",
+                              end, init_cycles, detect);
   }
 }
 
@@ -115,12 +119,10 @@ void Nic::barrier_rx(Packet p) {
     case BarrierReliability::kUnreliable: {
       const std::int64_t cost = barrier_rx_cost(p);
       auto packet = std::make_shared<Packet>(std::move(p));
-      const sim::SimTime end =
-          engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                        packet->id);
-      packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                          end, cost, packet->causal);
+      packet->causal = engine_submit(
+          McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+          [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
+          packet->causal);
       break;
     }
     case BarrierReliability::kSharedStream:
@@ -264,8 +266,8 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
         // hand-off costs nothing here, unlike the host-orchestrated
         // composition it replaces.
         if (causal_ != nullptr) {
-          tok->causal = causal_->record(sim::causal::Segment::kRep, node_, "rep_down",
-                                        sim_.now(), sim_.now(), tok->causal);
+          tok->causal = causal_->record(sim::causal::Segment::kRep, node_, advance_unit(node_),
+                                        "rep_down", sim_.now(), sim_.now(), tok->causal);
         }
         // Multidestination release, issued *before* our own completion DMA:
         // the block's wakeups are the latency-critical edge; the host here
@@ -294,12 +296,9 @@ void Nic::barrier_try_advance_pe(PortId local_port) {
     // Already received (recorded as unexpected): test-and-clear, advance.
     const std::uint64_t arrival = c.bit_info[peer.port].causal;
     c.clear_bit(peer.port);
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "pe_advance", config_.barrier_pe_cycles);  // bookkeeping
-    if (causal_ != nullptr) {
-      tok->causal = causal_engine_span(sim::causal::Segment::kFirmware, "pe_advance", end,
-                                       config_.barrier_pe_cycles, arrival, tok->causal);
-    }
+    tok->causal = engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware,
+                                "pe_advance", config_.barrier_pe_cycles,  // bookkeeping
+                                nullptr, arrival, tok->causal);
     ++tok->node_index;
     ++stats_.barrier_pe_rounds;
     tok->awaiting_recv = false;
@@ -322,9 +321,9 @@ void Nic::barrier_check_gather(PortId local_port) {
     // Zero-duration join: the gather condition depends on every child's
     // arrival chain plus our own initiation; the last-ending parent is the
     // one the critical path walks through.
-    const std::uint64_t join = causal_->record(sim::causal::Segment::kFirmware, node_,
-                                               "gather_ready", sim_.now(), sim_.now(),
-                                               tok->causal);
+    const std::uint64_t join =
+        causal_->record(sim::causal::Segment::kFirmware, node_, advance_unit(node_),
+                        "gather_ready", sim_.now(), sim_.now(), tok->causal);
     for (const Endpoint& child : tok->children) {
       causal_->add_parent(join, conn(child.node).bit_info[child.port].causal);
     }
@@ -347,8 +346,8 @@ void Nic::barrier_check_gather(PortId local_port) {
   if (pc.bit(tok->parent.port) &&
       pc.bit_info[tok->parent.port].type == PacketType::kBarrierBcast) {
     if (causal_ != nullptr) {
-      tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, "bcast_seen",
-                                    sim_.now(), sim_.now(),
+      tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, advance_unit(node_),
+                                    "bcast_seen", sim_.now(), sim_.now(),
                                     pc.bit_info[tok->parent.port].causal, tok->causal);
     }
     pc.clear_bit(tok->parent.port);
@@ -376,9 +375,9 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
     if (!conn(child.node).bit(child.port)) return;  // still waiting on a child
   }
   if (causal_ != nullptr && !tok->children.empty()) {
-    const std::uint64_t join = causal_->record(sim::causal::Segment::kFirmware, node_,
-                                               "gather_ready", sim_.now(), sim_.now(),
-                                               tok->causal);
+    const std::uint64_t join =
+        causal_->record(sim::causal::Segment::kFirmware, node_, advance_unit(node_),
+                        "gather_ready", sim_.now(), sim_.now(), tok->causal);
     for (const Endpoint& child : tok->children) {
       causal_->add_parent(join, conn(child.node).bit_info[child.port].causal);
     }
@@ -397,9 +396,9 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
       if (rc.bit(tok->release[0].port) &&
           rc.bit_info[tok->release[0].port].type == PacketType::kBarrierBcast) {
         if (causal_ != nullptr) {
-          tok->causal = causal_->record(sim::causal::Segment::kFirmware, node_, "bcast_seen",
-                                        sim_.now(), sim_.now(),
-                                        rc.bit_info[tok->release[0].port].causal, tok->causal);
+          tok->causal = causal_->record(
+              sim::causal::Segment::kFirmware, node_, advance_unit(node_), "bcast_seen",
+              sim_.now(), sim_.now(), rc.bit_info[tok->release[0].port].causal, tok->causal);
         }
         rc.clear_bit(tok->release[0].port);
         barrier_complete(local_port);
@@ -411,8 +410,8 @@ void Nic::barrier_hier_check_gather(PortId local_port) {
   tok->hier_gathered = true;
   // Representative hop, upward edge: the block is in, the exchange begins.
   if (causal_ != nullptr) {
-    tok->causal = causal_->record(sim::causal::Segment::kRep, node_, "rep_up", sim_.now(),
-                                  sim_.now(), tok->causal);
+    tok->causal = causal_->record(sim::causal::Segment::kRep, node_, advance_unit(node_),
+                                  "rep_up", sim_.now(), sim_.now(), tok->causal);
   }
   ++stats_.barrier_hier_gathers;
   barrier_try_advance_pe(local_port);
@@ -464,11 +463,9 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
     // wire, no SEND/RECV engines, only a short firmware hop.
     ++stats_.barrier_loopback_msgs;
     auto packet = std::make_shared<Packet>(std::move(p));
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "loopback", config_.barrier_pe_cycles,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); });
-    packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "loopback", end,
-                                        config_.barrier_pe_cycles, packet->causal);
+    packet->causal = engine_submit(
+        McpEngine::kRdma, sim::causal::Segment::kFirmware, "loopback", config_.barrier_pe_cycles,
+        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
     return;
   }
 
@@ -518,14 +515,17 @@ void Nic::barrier_complete(PortId local_port) {
   ps.last_barrier = std::move(ps.active_barrier);
 
   // RDMA the completion token to the host.
-  const sim::SimTime setup_end =
-      engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
-                    [this, local_port, epoch] {
+  BarrierToken* done = ps.last_barrier.get();  // tok moved there above
+  done->causal = engine_submit(
+      McpEngine::kRdma, sim::causal::Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
+      [this, local_port, epoch] {
     const sim::Duration dma =
         config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
+    BarrierToken* t = port(local_port).last_barrier.get();
+    const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
     auto dma_span = std::make_shared<std::uint64_t>(0);
-    const sim::SimTime dma_end = pci_submit("rdma_dma", dma,
-                                            [this, local_port, epoch, dma_span] {
+    *dma_span = pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma,
+                           [this, local_port, epoch, dma_span] {
       PortState& p = port(local_port);
       if (p.barrier_buffers > 0) --p.barrier_buffers;
       GmEvent ev;
@@ -533,19 +533,8 @@ void Nic::barrier_complete(PortId local_port) {
       ev.barrier_epoch = epoch;
       ev.causal = *dma_span;
       push_event(local_port, ev);
-    });
-    if (causal_ != nullptr) {
-      BarrierToken* t = port(local_port).last_barrier.get();
-      const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
-      *dma_span = causal_->record(sim::causal::Segment::kRdma, node_, "rdma_dma",
-                                  dma_end - dma, dma_end, parent);
-    }
-  });
-  if (causal_ != nullptr) {
-    BarrierToken* t = ps.last_barrier.get();  // tok moved there above
-    t->causal = causal_engine_span(sim::causal::Segment::kRdma, "rdma_setup", setup_end,
-                                   config_.rdma_setup_cycles, t->causal);
-  }
+    }, parent);
+  }, done->causal);
 }
 
 // --- Closed-port handling (§3.2) -------------------------------------------------------------------
@@ -679,12 +668,9 @@ void Nic::barrier_recv_separate(Packet p) {
     send_control(std::move(ack));
     const std::int64_t cost = barrier_rx_cost(p);
     auto packet = std::make_shared<Packet>(std::move(p));
-    const sim::SimTime end =
-        engine_submit(McpEngine::kRdma, "barrier_advance", cost,
-                      [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-                      packet->id);
-    packet->causal = causal_engine_span(sim::causal::Segment::kFirmware, "barrier_advance",
-                                        end, cost, packet->causal);
+    packet->causal = engine_submit(
+        McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
   } else if (p.barrier_seq < c.next_expected_barrier_seq) {
     ++stats_.duplicates_dropped;
     ack.ack = c.next_expected_barrier_seq - 1;  // re-ack

@@ -48,7 +48,7 @@ void Nic::post_reduce_token(ReduceToken token) {
   // Same initiation cost model as a GB barrier plus the combining setup.
   const std::int64_t cycles = config_.sdma_detect_cycles + config_.barrier_init_cycles +
                               config_.barrier_gb_init_cycles;
-  engine_submit(McpEngine::kSdma, "reduce_init", cycles,
+  engine_submit(McpEngine::kSdma, sim::causal::Segment::kFirmware, "reduce_init", cycles,
                 [this, token = std::move(token)]() mutable { reduce_start(std::move(token)); });
 }
 
@@ -115,7 +115,8 @@ void Nic::reduce_check_children(PortId local_port) {
     Connection& c = conn(child.node);
     tok->acc = apply_reduce_op(tok->op, tok->acc, c.bit_info[child.port].value);
     c.clear_bit(child.port);
-    engine_submit(McpEngine::kRdma, "combine", config_.barrier_gb_cycles);  // per child
+    engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "combine",
+                  config_.barrier_gb_cycles);  // per child
   }
 
   if (tok->is_root()) {
@@ -160,7 +161,8 @@ void Nic::reduce_send(PortId local_port, Endpoint dst, PacketType type, std::uin
   if (config_.barrier_loopback && dst.node == node_) {
     ++stats_.barrier_loopback_msgs;
     auto packet = std::make_shared<Packet>(std::move(p));
-    engine_submit(McpEngine::kRdma, "loopback", config_.barrier_gb_cycles, [this, packet]() mutable {
+    engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "loopback",
+                  config_.barrier_gb_cycles, [this, packet]() mutable {
       ++stats_.barrier_packets_received;
       if (!port(packet->dst_port).open) {
         barrier_closed_port_arrival(std::move(*packet));
@@ -200,11 +202,11 @@ void Nic::reduce_complete(PortId local_port, std::int64_t result) {
   const std::uint32_t epoch = tok->epoch;
   ps.last_reduce = std::move(ps.active_reduce);
 
-  engine_submit(McpEngine::kRdma, "rdma_setup", config_.rdma_setup_cycles,
-                [this, local_port, epoch, result] {
+  engine_submit(McpEngine::kRdma, sim::causal::Segment::kRdma, "rdma_setup",
+                config_.rdma_setup_cycles, [this, local_port, epoch, result] {
     const sim::Duration dma =
         config_.pci_setup + sim::transfer_time(16, config_.pci_bandwidth_mbps);
-    pci_submit("rdma_dma", dma, [this, local_port, epoch, result] {
+    pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma, [this, local_port, epoch, result] {
       PortState& p = port(local_port);
       if (p.barrier_buffers > 0) --p.barrier_buffers;
       GmEvent ev;

@@ -36,12 +36,12 @@ using net::PacketType;
 void Nic::post_rma_token(RmaToken token) {
   ++stats_.rma_ops_posted;
   engine_submit(
-      McpEngine::kSdma, "rma_detect+setup",
+      McpEngine::kSdma, sim::causal::Segment::kSdma, "rma_detect+setup",
       config_.sdma_detect_cycles + config_.sdma_setup_cycles,
       [this, token]() mutable {
         auto prepare = [this, token]() mutable {
-          engine_submit(McpEngine::kSdma, "rma_prepare", config_.rma_prepare_cycles,
-                        [this, token]() mutable {
+          engine_submit(McpEngine::kSdma, sim::causal::Segment::kSdma, "rma_prepare",
+                        config_.rma_prepare_cycles, [this, token]() mutable {
                           Packet p;
                           switch (token.kind) {
                             case RmaOpKind::kPut: p.type = PacketType::kRmaPut; break;
@@ -67,7 +67,7 @@ void Nic::post_rma_token(RmaToken token) {
           const sim::Duration dma =
               config_.pci_setup +
               sim::transfer_time(config_.rma_payload_bytes, config_.pci_bandwidth_mbps);
-          pci_submit("rma_sdma_dma", dma, std::move(prepare));
+          pci_submit(sim::causal::Segment::kSdma, "rma_sdma_dma", dma, std::move(prepare));
         } else {
           prepare();
         }
@@ -94,17 +94,21 @@ void Nic::set_rma_sink(PortId p, RmaSink* sink) { port(p).rma_sink = sink; }
 void Nic::rma_rx_in_order(Packet p) {
   if (p.type == PacketType::kRmaReply) {
     auto packet = std::make_shared<Packet>(std::move(p));
-    engine_submit(McpEngine::kRdma, "rma_reply", config_.rma_reply_cycles,
+    engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_reply",
+                  config_.rma_reply_cycles,
                   [this, packet]() mutable { rma_absorb_reply(std::move(*packet)); },
-                  packet->id);
+                  packet->causal);
     return;
   }
   std::int64_t cost = config_.rma_put_cycles;
   if (p.type == PacketType::kRmaGet) cost = config_.rma_get_cycles;
   if (p.type == PacketType::kRmaCas) cost = config_.rma_cas_cycles;
   auto packet = std::make_shared<Packet>(std::move(p));
-  engine_submit(McpEngine::kRdma, "rma_apply", cost,
-                [this, packet]() mutable { rma_apply(std::move(*packet)); }, packet->id);
+  // The apply span heads the op's target-side chain (the PCI transfer of a
+  // put or get); the reply packet starts a fresh one.
+  packet->causal =
+      engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_apply", cost,
+                    [this, packet]() mutable { rma_apply(std::move(*packet)); }, packet->causal);
 }
 
 void Nic::rma_apply(Packet p) {
@@ -137,11 +141,11 @@ void Nic::rma_apply(Packet p) {
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
       auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit("rma_dma", dma, [this, packet, mem] {
+      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, packet, mem] {
         ++stats_.rma_puts_applied;
         mem->write(packet->rma_index, packet->value);
         rma_reply(*packet, packet->value, true);
-      }, packet->id);
+      }, packet->causal);
       break;
     }
     case PacketType::kRmaGet: {
@@ -150,10 +154,10 @@ void Nic::rma_apply(Packet p) {
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
       auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit("rma_dma", dma, [this, packet, mem] {
+      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, packet, mem] {
         ++stats_.rma_gets_served;
         rma_reply(*packet, mem->read(packet->rma_index), true);
-      }, packet->id);
+      }, packet->causal);
       break;
     }
     case PacketType::kRmaCas: {

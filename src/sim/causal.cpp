@@ -46,7 +46,7 @@ std::size_t CausalTracer::record_shard() const {
   return shard_spans_.size() > 1 ? t_current_shard : 0;
 }
 
-SpanId CausalTracer::record(Segment seg, std::uint32_t node, const char* label,
+SpanId CausalTracer::record(Segment seg, std::uint32_t node, Unit unit, const char* label,
                             SimTime start, SimTime end, SpanId parent, SpanId parent2,
                             std::uint64_t key) {
   const std::size_t shard = record_shard();
@@ -54,6 +54,7 @@ SpanId CausalTracer::record(Segment seg, std::uint32_t node, const char* label,
   Span s;
   s.id = (static_cast<std::uint64_t>(shard) << kShardShift) | (arena.size() + 1);
   s.seg = seg;
+  s.unit = unit;
   s.node = node;
   s.label = label;
   s.start = start;
@@ -248,10 +249,11 @@ void CausalTracer::canonicalize() {
   };
 
   // Content order: ends first (causality flows toward later ends), then
-  // start/segment/node/label/key. The flat-index fallback only breaks ties
-  // between spans of one arena (identical content on different lanes always
-  // differs in node or packet-id key), where it equals that lane's record
-  // order — the same relative order a serial run records them in.
+  // start/segment/node/label/key; the display-only unit takes no part. The
+  // flat-index fallback only breaks ties between spans of one arena
+  // (identical content on different lanes always differs in node or
+  // packet-id key), where it equals that lane's record order — the same
+  // relative order a serial run records them in.
   auto content_less = [&](std::size_t a, std::size_t b) {
     const Span& x = all[a];
     const Span& y = all[b];

@@ -77,9 +77,35 @@ inline constexpr std::size_t kSegmentCount = 9;
 /// is the default value of every threaded provenance field.
 using SpanId = std::uint64_t;
 
+/// The hardware unit that did a span's work: the host CPU, one of the four
+/// MCP engines, the PCI bus, the NIC as a whole (fault instants), a link or
+/// a switch. Display only: the Chrome trace gives every unit its own track,
+/// while canonical ordering, critical paths and profiles never read it.
+struct Unit {
+  enum class Kind : std::uint8_t { kHost, kEngine, kPci, kNic, kLink, kSwitch };
+  Kind kind = Kind::kHost;
+  /// kEngine: the MCP engine (0 sdma, 1 send, 2 recv, 3 rdma). kLink: 1 when
+  /// the span runs on past serialisation through the propagation delay.
+  std::uint8_t sub = 0;
+  /// The node of a host/engine/pci/nic unit, the link uid, or the switch id.
+  std::uint32_t id = 0;
+
+  static constexpr Unit host(std::uint32_t node) { return {Kind::kHost, 0, node}; }
+  static constexpr Unit engine(std::uint32_t node, std::uint8_t e) {
+    return {Kind::kEngine, e, node};
+  }
+  static constexpr Unit pci(std::uint32_t node) { return {Kind::kPci, 0, node}; }
+  static constexpr Unit nic(std::uint32_t node) { return {Kind::kNic, 0, node}; }
+  static constexpr Unit link(std::uint32_t uid, bool through_propagation) {
+    return {Kind::kLink, static_cast<std::uint8_t>(through_propagation ? 1 : 0), uid};
+  }
+  static constexpr Unit sw(std::uint32_t id) { return {Kind::kSwitch, 0, id}; }
+};
+
 struct Span {
   SpanId id = 0;
   Segment seg = Segment::kHost;
+  Unit unit;
   std::uint32_t node = 0;
   const char* label = "";  // static strings only (call sites use literals)
   SimTime start{0};
@@ -194,10 +220,11 @@ class CausalTracer {
   /// partition or worker count.
   void canonicalize();
 
-  /// Records a completed span [start, end] and returns its id. `label` must
-  /// be a string literal. Up to two parents at record time; later joins go
-  /// through add_parent. `key` is the content tiebreak (see Span::key).
-  SpanId record(Segment seg, std::uint32_t node, const char* label, SimTime start,
+  /// Records a completed span [start, end] done by `unit` and returns its
+  /// id. `label` must be a string literal. Up to two parents at record
+  /// time; later joins go through add_parent. `key` is the content tiebreak
+  /// (see Span::key).
+  SpanId record(Segment seg, std::uint32_t node, Unit unit, const char* label, SimTime start,
                 SimTime end, SpanId parent = 0, SpanId parent2 = 0, std::uint64_t key = 0);
 
   /// Attaches another causal parent to an existing span (a join discovered

@@ -4,26 +4,9 @@
 #include <cstdio>
 #include <ostream>
 
-#include "sim/causal.hpp"
-
 namespace nicbar::sim {
 
-// --- Trace categories -----------------------------------------------------------
-
-namespace {
-
-struct MaskName {
-  const char* name;
-  TraceCategory cat;
-};
-
-constexpr MaskName kMaskNames[] = {
-    {"sdma", TraceCategory::kSdma}, {"send", TraceCategory::kSend},
-    {"recv", TraceCategory::kRecv}, {"rdma", TraceCategory::kRdma},
-    {"net", TraceCategory::kNet},   {"all", TraceCategory::kAll},
-};
-
-}  // namespace
+// --- Trace mask -------------------------------------------------------------------
 
 std::optional<std::uint32_t> parse_trace_mask(const std::string& spec) {
   std::uint32_t mask = 0;
@@ -32,22 +15,24 @@ std::optional<std::uint32_t> parse_trace_mask(const std::string& spec) {
     std::size_t comma = spec.find(',', pos);
     if (comma == std::string::npos) comma = spec.size();
     const std::string name = spec.substr(pos, comma - pos);
-    bool found = false;
-    for (const MaskName& m : kMaskNames) {
-      if (name == m.name) {
-        mask |= static_cast<std::uint32_t>(m.cat);
-        found = true;
-        break;
+    if (name == "all") {
+      mask = kTraceAll;
+    } else {
+      std::size_t s = 0;
+      while (s < causal::kSegmentCount &&
+             name != causal::to_string(static_cast<causal::Segment>(s))) {
+        ++s;
       }
+      if (s == causal::kSegmentCount) return std::nullopt;  // unknown or empty element
+      mask |= trace_bit(static_cast<causal::Segment>(s));
     }
-    if (!found) return std::nullopt;  // unknown or empty element
     pos = comma + 1;
   }
   return mask;
 }
 
 const char* trace_mask_names() {
-  return "sdma,send,recv,rdma,net,all";
+  return "host,sdma,send,wire,switch,recv,firmware,rdma,rep,all";
 }
 
 }  // namespace nicbar::sim
@@ -120,96 +105,125 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   os << "\n  }\n}\n";
 }
 
-// --- TraceEventSink -----------------------------------------------------------
+// --- Chrome trace -----------------------------------------------------------------
 
-int TraceEventSink::track(const std::string& name) {
-  const auto it = tracks_.find(name);
-  if (it != tracks_.end()) return it->second;
-  const int id = static_cast<int>(track_names_.size());
-  tracks_.emplace(name, id);
-  track_names_.push_back(name);
-  return id;
-}
+namespace {
 
-void TraceEventSink::duration(int track_id, const char* name, SimTime start, Duration dur,
-                              const char* category, TraceCategory cat, std::uint64_t id) {
-  if (!pass(cat)) return;
-  events_.push_back(Event{'X', track_id, name, category, start.ps(), dur.ps(), id});
-}
+using causal::Span;
+using causal::SpanId;
+using causal::Unit;
 
-void TraceEventSink::instant(int track_id, const char* name, SimTime at,
-                             const char* category, TraceCategory cat) {
-  if (!pass(cat)) return;
-  events_.push_back(Event{'i', track_id, name, category, at.ps(), 0, 0});
-}
-
-void TraceEventSink::flow_start(int track_id, const char* name, SimTime at, std::uint64_t id,
-                                const char* category, TraceCategory cat) {
-  if (!pass(cat)) return;
-  events_.push_back(Event{'s', track_id, name, category, at.ps(), 0, id});
-}
-
-void TraceEventSink::flow_end(int track_id, const char* name, SimTime at, std::uint64_t id,
-                              const char* category, TraceCategory cat) {
-  if (!pass(cat)) return;
-  events_.push_back(Event{'f', track_id, name, category, at.ps(), 0, id});
-}
-
-std::size_t TraceEventSink::events_on(int track_id) const {
-  std::size_t n = 0;
-  for (const Event& e : events_) {
-    if (e.track == track_id) ++n;
+/// Track order: every node's host, four engines, PCI bus and fault track
+/// together, then the switches, then the links.
+std::uint64_t track_key(const Unit& u) {
+  const auto node_track = [&u](std::uint64_t rank) {
+    return (static_cast<std::uint64_t>(u.id) << 3) | rank;
+  };
+  switch (u.kind) {
+    case Unit::Kind::kHost: return node_track(0);
+    case Unit::Kind::kEngine: return node_track(1 + u.sub);
+    case Unit::Kind::kPci: return node_track(5);
+    case Unit::Kind::kNic: return node_track(6);
+    case Unit::Kind::kSwitch: return (std::uint64_t{1} << 40) | u.id;
+    case Unit::Kind::kLink: return (std::uint64_t{2} << 40) | u.id;
   }
-  return n;
+  return 0;
 }
 
-void TraceEventSink::write_json(std::ostream& os) const {
+std::string track_name(const Unit& u, const std::vector<TraceLink>& links) {
+  static constexpr const char* kEngines[] = {"sdma", "send", "recv", "rdma"};
+  const std::string id = std::to_string(u.id);
+  switch (u.kind) {
+    case Unit::Kind::kHost: return "node" + id + "/host";
+    case Unit::Kind::kEngine: return "nic" + id + "/" + kEngines[u.sub & 3];
+    case Unit::Kind::kPci: return "node" + id + "/pci";
+    case Unit::Kind::kNic: return "nic" + id + "/fault";
+    case Unit::Kind::kSwitch: return "switch/sw" + id;
+    case Unit::Kind::kLink:
+      return "link/" + (u.id < links.size() ? links[u.id].name : "l" + id);
+  }
+  return "?";
+}
+
+double us(std::int64_t ps) { return static_cast<double>(ps) * 1e-6; }
+
+}  // namespace
+
+void write_chrome_trace(std::ostream& os, const causal::CausalTracer& tracer,
+                        const std::vector<TraceLink>& links, std::uint32_t mask) {
+  const auto shown = [mask](const Span* s) {
+    return s != nullptr && (mask & trace_bit(s->seg)) != 0;
+  };
+  const SpanId n = tracer.span_count();
+
+  // Tracks: one per unit with a shown span, numbered in track_key order.
+  std::map<std::uint64_t, int> tid;
+  std::map<std::uint64_t, Unit> units;
+  for (SpanId id = 1; id <= n; ++id) {
+    const Span* s = tracer.span(id);
+    if (shown(s)) units.emplace(track_key(s->unit), s->unit);
+  }
   os << "{\"traceEvents\": [\n";
   bool first = true;
-  char buf[256];
-  // Thread-name metadata: one named track ("thread") per registered track,
-  // all under pid 0; Perfetto renders them as separate rows.
-  for (std::size_t i = 0; i < track_names_.size(); ++i) {
+  const auto next = [&os, &first] {
     if (!first) os << ",\n";
     first = false;
-    os << "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": " << i
-       << ", \"args\": {\"name\": \"" << json_escape(track_names_[i]) << "\"}}";
+  };
+  for (const auto& [key, unit] : units) {
+    const int t = static_cast<int>(tid.size());
+    tid.emplace(key, t);
+    next();
+    os << "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": " << t
+       << ", \"args\": {\"name\": \"" << json_escape(track_name(unit, links)) << "\"}}";
   }
-  for (const Event& e : events_) {
-    if (!first) os << ",\n";
-    first = false;
-    if (e.phase == 'X') {
-      if (e.id != 0) {
-        std::snprintf(buf, sizeof buf,
-                      "  {\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": 0, "
-                      "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": {\"id\": %" PRIu64
-                      "}}",
-                      e.name, e.category, e.track, static_cast<double>(e.ts_ps) * 1e-6,
-                      static_cast<double>(e.dur_ps) * 1e-6, e.id);
-      } else {
-        std::snprintf(buf, sizeof buf,
-                      "  {\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": 0, "
-                      "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f}",
-                      e.name, e.category, e.track, static_cast<double>(e.ts_ps) * 1e-6,
-                      static_cast<double>(e.dur_ps) * 1e-6);
-      }
-    } else if (e.phase == 's') {
-      std::snprintf(buf, sizeof buf,
-                    "  {\"ph\": \"s\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": 0, "
-                    "\"tid\": %d, \"ts\": %.3f, \"id\": %" PRIu64 "}",
-                    e.name, e.category, e.track, static_cast<double>(e.ts_ps) * 1e-6, e.id);
-    } else if (e.phase == 'f') {
-      std::snprintf(buf, sizeof buf,
-                    "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"%s\", \"cat\": \"%s\", "
-                    "\"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"id\": %" PRIu64 "}",
-                    e.name, e.category, e.track, static_cast<double>(e.ts_ps) * 1e-6, e.id);
+
+  char buf[320];
+  std::uint64_t flow = 0;
+  for (SpanId id = 1; id <= n; ++id) {
+    const Span* s = tracer.span(id);
+    if (!shown(s)) continue;
+    const int t = tid.at(track_key(s->unit));
+    const char* cat = causal::to_string(s->seg);
+    std::int64_t dur = (s->end - s->start).ps();
+    if (s->unit.kind == Unit::Kind::kLink && s->unit.sub != 0 && s->unit.id < links.size()) {
+      dur -= links[s->unit.id].propagation.ps();  // show the wire-busy part only
+    }
+    char args[96];
+    if (s->key != 0) {
+      std::snprintf(args, sizeof args, "{\"id\": %" PRIu64 ", \"packet\": %" PRIu64 "}",
+                    s->id, s->key);
     } else {
+      std::snprintf(args, sizeof args, "{\"id\": %" PRIu64 "}", s->id);
+    }
+    if (s->end == s->start) {
       std::snprintf(buf, sizeof buf,
                     "  {\"ph\": \"i\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": 0, "
-                    "\"tid\": %d, \"ts\": %.3f, \"s\": \"t\"}",
-                    e.name, e.category, e.track, static_cast<double>(e.ts_ps) * 1e-6);
+                    "\"tid\": %d, \"ts\": %.3f, \"s\": \"t\", \"args\": %s}",
+                    s->label, cat, t, us(s->start.ps()), args);
+    } else {
+      std::snprintf(buf, sizeof buf,
+                    "  {\"ph\": \"X\", \"name\": \"%s\", \"cat\": \"%s\", \"pid\": 0, "
+                    "\"tid\": %d, \"ts\": %.3f, \"dur\": %.3f, \"args\": %s}",
+                    s->label, cat, t, us(s->start.ps()), us(dur), args);
     }
+    next();
     os << buf;
+    // Arrows: each edge into this span from a span on another track.
+    for (const SpanId p : s->parents) {
+      const Span* ps = tracer.span(p);
+      if (!shown(ps)) continue;
+      const int pt = tid.at(track_key(ps->unit));
+      if (pt == t) continue;
+      ++flow;
+      std::snprintf(buf, sizeof buf,
+                    "  {\"ph\": \"s\", \"name\": \"causal\", \"cat\": \"flow\", "
+                    "\"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"id\": %" PRIu64 "},\n"
+                    "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"causal\", \"cat\": "
+                    "\"flow\", \"pid\": 0, \"tid\": %d, \"ts\": %.3f, \"id\": %" PRIu64 "}",
+                    pt, us(ps->start.ps()), flow, t, us(s->start.ps()), flow);
+      next();
+      os << buf;
+    }
   }
   os << "\n]}\n";
 }
@@ -218,11 +232,6 @@ void TraceEventSink::write_json(std::ostream& os) const {
 
 Telemetry::Telemetry() = default;
 Telemetry::~Telemetry() = default;
-
-TraceEventSink& Telemetry::enable_trace() {
-  if (!trace_) trace_ = std::make_unique<TraceEventSink>();
-  return *trace_;
-}
 
 causal::CausalTracer& Telemetry::enable_causal() {
   if (!causal_) causal_ = std::make_unique<causal::CausalTracer>();

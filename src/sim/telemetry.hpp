@@ -1,20 +1,20 @@
 // Simulation telemetry: metrics registry and Chrome trace-event export.
 //
-// Two cooperating pieces, both optional and zero-cost when detached
-// (hardware models hold raw pointers that are null by default; every hook is
-// one branch):
+//   MetricsRegistry    — named counters, gauges, and Histogram-backed timers.
+//                        Hardware models register their counters at snapshot
+//                        time; benches and tools serialise it as JSON.
+//   write_chrome_trace — renders the causal span arena (sim/causal.hpp) as a
+//                        Chrome trace-event file, one track per unit (host
+//                        CPU, MCP engine, PCI bus, link, switch), loadable in
+//                        Perfetto or chrome://tracing. The trace is a view of
+//                        the causal record, so it needs no hooks of its own
+//                        and is byte-identical at any PDES worker count.
 //
-//   MetricsRegistry — named counters, gauges, and Histogram-backed timers.
-//                     Hardware models register their counters at snapshot
-//                     time; benches and tools serialise it as JSON.
-//   TraceEventSink  — buffers duration ("X") and instant ("i") events in
-//                     Chrome trace-event format, one track per host /
-//                     NIC engine / link, loadable in Perfetto or
-//                     chrome://tracing.
-//
-// Telemetry bundles them with the causal span tracer (sim/causal.hpp), whose
+// Telemetry bundles the registry with the causal span tracer, whose
 // critical-path profile is also the source of the Eq. 1-2 cost breakdown; a
-// Cluster attaches the bundle to every hardware model it builds.
+// Cluster attaches the bundle to every hardware model it builds. Hardware
+// models hold a raw tracer pointer that is null by default, so a detached
+// hook costs one branch.
 #pragma once
 
 #include <cstdint>
@@ -25,37 +25,27 @@
 #include <string>
 #include <vector>
 
+#include "sim/causal.hpp"
 #include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace nicbar::sim {
 
-/// Trace-event categories, one per emitting layer: the four MCP engines
-/// (PCI transfers count as RDMA) and the fabric. TraceEventSink filters on
-/// them so `--trace-mask` applies end to end.
-enum class TraceCategory : std::uint32_t {
-  kSdma = 1u << 1,  // SDMA engine (host -> NIC)
-  kSend = 1u << 2,  // SEND engine (NIC -> wire)
-  kRecv = 1u << 3,  // RECV engine (wire -> NIC)
-  kRdma = 1u << 4,  // RDMA engine and PCI bus (NIC -> host)
-  kNet = 1u << 5,   // links and switches
-  kAll = 0xffffffffu,
-};
+/// The --trace-mask bit of one causal segment; kTraceAll passes them all.
+constexpr std::uint32_t trace_bit(causal::Segment s) {
+  return 1u << static_cast<unsigned>(s);
+}
+inline constexpr std::uint32_t kTraceAll = 0xffffffffu;
 
-/// Parses a comma-separated category list ("sdma,send,recv,rdma,net" or
-/// "all") into a TraceCategory bit mask. Names are case-sensitive and match
-/// the enumerators without the k prefix; empty elements are rejected.
-/// Returns nullopt on any unknown name.
+/// Parses a comma-separated segment list ("recv,wire,switch" or "all") into
+/// a trace_bit mask. Names are the causal::Segment names, case-sensitive;
+/// empty elements are rejected. Returns nullopt on any unknown name.
 [[nodiscard]] std::optional<std::uint32_t> parse_trace_mask(const std::string& spec);
 
 /// The accepted names for parse_trace_mask, for help text and error messages.
 [[nodiscard]] const char* trace_mask_names();
 
 }  // namespace nicbar::sim
-
-namespace nicbar::sim::causal {
-class CausalTracer;
-}
 
 namespace nicbar::sim::telemetry {
 
@@ -105,80 +95,34 @@ class MetricsRegistry {
   std::map<std::string, Histogram> histograms_;
 };
 
-// --- TraceEventSink -----------------------------------------------------------
+// --- Chrome trace -----------------------------------------------------------------
 
-/// Buffers Chrome trace-event JSON (the Perfetto/chrome://tracing format).
-/// Tracks map to trace "threads": register one per host, NIC engine, or link
-/// with track(), then emit duration/instant events against the track id.
-///
-/// Every event optionally carries a stable causal id (a fabric-unique packet
-/// id or causal span id) and a TraceCategory; the sink-level mask filters by
-/// category at emission time so `--trace-mask` applies end-to-end. Paired
-/// flow events ("s"/"f") with equal ids render as arrows in Perfetto.
-class TraceEventSink {
- public:
-  /// Registers (or finds) a named track; returns its stable id.
-  int track(const std::string& name);
-
-  /// Restricts subsequent emissions to categories in `mask` (default: all).
-  void set_mask(std::uint32_t mask) { mask_ = mask; }
-  [[nodiscard]] std::uint32_t mask() const { return mask_; }
-
-  /// A completed span ("X" event) of `dur` starting at `start`. A non-zero
-  /// `id` is emitted as args.id (the packet/span provenance of the event).
-  void duration(int track_id, const char* name, SimTime start, Duration dur,
-                const char* category = "sim", TraceCategory cat = TraceCategory::kAll,
-                std::uint64_t id = 0);
-
-  /// A point-in-time marker ("i" event).
-  void instant(int track_id, const char* name, SimTime at, const char* category = "sim",
-               TraceCategory cat = TraceCategory::kAll);
-
-  /// Flow-event pair: a "s" (start) on the producing track and a "f" with
-  /// bp:"e" (end, bound to the enclosing slice) on the consuming track,
-  /// matched by `id`. Use the fabric-unique packet id so the arrow follows
-  /// one packet from SEND engine to RECV engine.
-  void flow_start(int track_id, const char* name, SimTime at, std::uint64_t id,
-                  const char* category = "sim", TraceCategory cat = TraceCategory::kAll);
-  void flow_end(int track_id, const char* name, SimTime at, std::uint64_t id,
-                const char* category = "sim", TraceCategory cat = TraceCategory::kAll);
-
-  [[nodiscard]] std::size_t event_count() const { return events_.size(); }
-  [[nodiscard]] std::size_t track_count() const { return track_names_.size(); }
-  [[nodiscard]] const std::vector<std::string>& track_names() const { return track_names_; }
-
-  /// Number of events recorded against one track.
-  [[nodiscard]] std::size_t events_on(int track_id) const;
-
-  /// Writes {"traceEvents":[...]} — thread_name metadata first, then every
-  /// buffered event. Timestamps are microseconds of simulated time.
-  void write_json(std::ostream& os) const;
-
- private:
-  struct Event {
-    char phase;  // 'X', 'i', 's', or 'f'
-    int track;
-    const char* name;      // static strings only (call sites use literals)
-    const char* category;  // static strings only
-    std::int64_t ts_ps;
-    std::int64_t dur_ps;
-    std::uint64_t id;  // causal packet/span id; 0 = none
-  };
-  [[nodiscard]] bool pass(TraceCategory cat) const {
-    return (mask_ & static_cast<std::uint32_t>(cat)) != 0;
-  }
-  std::vector<Event> events_;
-  std::map<std::string, int> tracks_;
-  std::vector<std::string> track_names_;
-  std::uint32_t mask_ = static_cast<std::uint32_t>(TraceCategory::kAll);
+/// One fabric link as the Chrome trace shows it; a link's uid indexes the
+/// table. "wire" spans run on through the propagation delay, which the
+/// trace trims so each link track shows only the time the wire was busy.
+struct TraceLink {
+  std::string name;
+  Duration propagation{0};
 };
+
+/// Writes the span arena of `tracer` as {"traceEvents":[...]}:
+///   - a thread_name "M" row per unit that has a span passing `mask`;
+///   - one "X" event per span (name = label, cat = segment, args.id = span
+///     id, args.packet = the packet id of wire and switch spans), or an "i"
+///     event when the span has zero length;
+///   - an "s"/"f" flow pair per parent edge between spans on different
+///     tracks, flow ids numbered in span order.
+/// Timestamps are microseconds of simulated time. Call canonicalize() first
+/// so the ids — and the file — do not depend on the engine's worker count.
+void write_chrome_trace(std::ostream& os, const causal::CausalTracer& tracer,
+                        const std::vector<TraceLink>& links, std::uint32_t mask = kTraceAll);
 
 // --- Bundle ---------------------------------------------------------------------
 
 /// What a Cluster hands to its hardware models. The metrics registry is
 /// always present (filling it is a snapshot-time operation, not a hot-path
-/// one); the trace sink and causal tracer are created on demand so models
-/// can cache the raw pointers and keep the disabled path to one branch.
+/// one); the causal tracer is created on demand so models can cache the raw
+/// pointer and keep the disabled path to one branch.
 class Telemetry {
  public:
   Telemetry();
@@ -189,16 +133,18 @@ class Telemetry {
   [[nodiscard]] MetricsRegistry& metrics() { return metrics_; }
   [[nodiscard]] const MetricsRegistry& metrics() const { return metrics_; }
 
-  TraceEventSink& enable_trace();
   causal::CausalTracer& enable_causal();
-
-  [[nodiscard]] TraceEventSink* trace() const { return trace_.get(); }
   [[nodiscard]] causal::CausalTracer* causal() const { return causal_.get(); }
+
+  /// The fabric's links by uid, for write_chrome_trace; a Cluster fills it
+  /// when it attaches a bundle with causal tracing on.
+  [[nodiscard]] std::vector<TraceLink>& trace_links() { return trace_links_; }
+  [[nodiscard]] const std::vector<TraceLink>& trace_links() const { return trace_links_; }
 
  private:
   MetricsRegistry metrics_;
-  std::unique_ptr<TraceEventSink> trace_;
   std::unique_ptr<causal::CausalTracer> causal_;
+  std::vector<TraceLink> trace_links_;
 };
 
 /// Escapes `s` for inclusion in a JSON string literal (quotes, backslashes,

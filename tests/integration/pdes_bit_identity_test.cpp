@@ -17,6 +17,7 @@
 
 #include <cstdint>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -188,23 +189,24 @@ TEST(PdesBitIdentity, HostDissemination) {
   }
 }
 
+CaseSpec hier_case(std::size_t n) {
+  CaseSpec c = base_case(n, n <= 64 ? 3 : 2);
+  c.params.cluster.topology = host::Topology::kFatTree;
+  c.params.cluster.fabric_radix = 16;
+  c.params.spec.hierarchical = true;
+  c.causal = n <= 64;
+  return c;
+}
+
 TEST(PdesBitIdentity, HierarchicalFatTree) {
   // Leaf-aligned partitioning: nodes share a lane with their leaf switch,
   // representatives cross partitions through the spine.
   for (const std::size_t n : {16u, 64u, 256u}) {
-    CaseSpec c = base_case(n, n <= 64 ? 3 : 2);
-    c.params.cluster.topology = host::Topology::kFatTree;
-    c.params.cluster.fabric_radix = 16;
-    c.params.spec.hierarchical = true;
-    c.causal = n <= 64;
-    check_case(c, "hier-fat-tree-n" + std::to_string(n));
+    check_case(hier_case(n), "hier-fat-tree-n" + std::to_string(n));
   }
 }
 
-TEST(PdesBitIdentity, LossyWithFaultPlan) {
-  // Per-link RNG substreams (drop, burst, corruption) are derived from the
-  // plan seed in arming order and consumed in transmit order — both
-  // partition-independent, so retransmission timelines must match exactly.
+CaseSpec lossy_case() {
   CaseSpec c = base_case(16, 4);
   c.params.spec.location = coll::Location::kNic;
   c.params.spec.algorithm = nic::BarrierAlgorithm::kPairwiseExchange;
@@ -219,7 +221,14 @@ TEST(PdesBitIdentity, LossyWithFaultPlan) {
   corr.prob = 0.01;
   c.params.cluster.faults.corruption.push_back(corr);
   c.params.cluster.faults.seed = 0xfeedULL;
+  return c;
+}
 
+TEST(PdesBitIdentity, LossyWithFaultPlan) {
+  // Per-link RNG substreams (drop, burst, corruption) are derived from the
+  // plan seed in arming order and consumed in transmit order — both
+  // partition-independent, so retransmission timelines must match exactly.
+  const CaseSpec c = lossy_case();
   const Observed serial = run_case(c, EngineConfig{1, 1});
   ASSERT_GT(serial.drops + serial.retransmissions, 0u)
       << "lossy case drew no faults - the RNG-independence claim is untested";
@@ -283,6 +292,37 @@ TEST(PdesBitIdentity, BreakdownRowsAtEveryWorkerCount) {
       EXPECT_EQ(rows[i].wire.ps(), rows[0].wire.ps()) << at;
       EXPECT_EQ(rows[i].queue.ps(), rows[0].queue.ps()) << at;
       EXPECT_EQ(rows[i].total.ps(), rows[0].total.ps()) << at;
+    }
+  }
+}
+
+/// The --trace-json file of one run on `workers` partitions and workers,
+/// as the CLI writes it.
+std::string trace_json(coll::ExperimentParams p, unsigned workers) {
+  p.cluster.pdes_partitions = workers;
+  p.cluster.pdes_workers = workers;
+  sim::telemetry::Telemetry tel;
+  tel.enable_causal();
+  p.cluster.telemetry = &tel;
+  (void)coll::run_barrier_experiment(p);
+  tel.causal()->canonicalize();
+  std::ostringstream os;
+  sim::telemetry::write_chrome_trace(os, *tel.causal(), tel.trace_links());
+  return os.str();
+}
+
+TEST(PdesBitIdentity, TraceJsonAtEveryWorkerCount) {
+  // The Chrome trace is a view of the canonical span arena, so the file is
+  // byte-identical at workers 1, 2, 4 and 8: every span, track and arrow.
+  for (const auto& [name, c] : {std::pair<std::string, CaseSpec>{"hier-fat-tree-n64",
+                                                                  hier_case(64)},
+                                std::pair<std::string, CaseSpec>{"lossy", lossy_case()}}) {
+    const std::string serial = trace_json(c.params, 1);
+    ASSERT_NE(serial.find("\"ph\": \"X\""), std::string::npos) << name;
+    for (const unsigned w : {2u, 4u, 8u}) {
+      const std::string par = trace_json(c.params, w);
+      EXPECT_TRUE(par == serial) << name << " workers " << w << ": " << par.size() << " vs "
+                                 << serial.size() << " bytes";
     }
   }
 }

@@ -21,15 +21,19 @@ using sim::causal::kSegmentCount;
 using sim::causal::PathProfile;
 using sim::causal::Segment;
 using sim::causal::SpanId;
+using sim::causal::Unit;
 using sim::Duration;
 using sim::SimTime;
 
 SimTime at_us(double us) { return SimTime{0} + sim::microseconds(us); }
 
+// The unit is display-only; nothing these tests check reads it.
+constexpr Unit kUnit = Unit::host(0);
+
 TEST(CausalTracerTest, RecordAssignsMonotonicIdsAndKeepsParents) {
   CausalTracer c;
-  const SpanId a = c.record(Segment::kHost, 0, "a", at_us(0), at_us(1));
-  const SpanId b = c.record(Segment::kSend, 0, "b", at_us(1), at_us(2), a);
+  const SpanId a = c.record(Segment::kHost, 0, kUnit, "a", at_us(0), at_us(1));
+  const SpanId b = c.record(Segment::kSend, 0, kUnit, "b", at_us(1), at_us(2), a);
   EXPECT_EQ(a, 1u);
   EXPECT_EQ(b, 2u);
   ASSERT_NE(c.span(b), nullptr);
@@ -42,8 +46,8 @@ TEST(CausalTracerTest, RecordAssignsMonotonicIdsAndKeepsParents) {
 
 TEST(CausalTracerTest, AddParentRejectsEdgesThatWouldBreakTheIdInvariant) {
   CausalTracer c;
-  const SpanId a = c.record(Segment::kHost, 0, "a", at_us(0), at_us(1));
-  const SpanId b = c.record(Segment::kHost, 0, "b", at_us(1), at_us(2));
+  const SpanId a = c.record(Segment::kHost, 0, kUnit, "a", at_us(0), at_us(1));
+  const SpanId b = c.record(Segment::kHost, 0, kUnit, "b", at_us(1), at_us(2));
   c.add_parent(a, b);  // parent id > span id: a back edge, silently dropped
   c.add_parent(a, a);  // self edge, silently dropped
   c.add_parent(0, a);  // no-op on the null span
@@ -59,10 +63,10 @@ TEST(CausalTracerTest, CriticalPathFollowsTheLatestParentAndTelescopes) {
   // Diamond: the origin forks into a fast and a slow branch; the join waits
   // on the slow one and then idles 1us before starting (queue time).
   CausalTracer c;
-  const SpanId origin = c.record(Segment::kHost, 0, "origin", at_us(0), at_us(1));
-  const SpanId fast = c.record(Segment::kSend, 0, "fast", at_us(1), at_us(2), origin);
-  const SpanId slow = c.record(Segment::kWire, 1, "slow", at_us(1), at_us(5), origin);
-  const SpanId join = c.record(Segment::kRecv, 1, "join", at_us(6), at_us(7), fast, slow);
+  const SpanId origin = c.record(Segment::kHost, 0, kUnit, "origin", at_us(0), at_us(1));
+  const SpanId fast = c.record(Segment::kSend, 0, kUnit, "fast", at_us(1), at_us(2), origin);
+  const SpanId slow = c.record(Segment::kWire, 1, kUnit, "slow", at_us(1), at_us(5), origin);
+  const SpanId join = c.record(Segment::kRecv, 1, kUnit, "join", at_us(6), at_us(7), fast, slow);
 
   const CriticalPath path = c.critical_path(join);
   ASSERT_EQ(path.steps.size(), 3u);  // origin -> slow -> join (fast is off-path)
@@ -82,10 +86,10 @@ TEST(CausalTracerTest, CriticalPathFollowsTheLatestParentAndTelescopes) {
 TEST(CausalTracerTest, ProfileAggregatesCompletedBarriers) {
   CausalTracer c;
   // Barrier 1: 2us of host work. Barrier 2: 6us (1us host + 5us wire).
-  const SpanId s1 = c.record(Segment::kHost, 0, "b1", at_us(0), at_us(2));
+  const SpanId s1 = c.record(Segment::kHost, 0, kUnit, "b1", at_us(0), at_us(2));
   c.complete_barrier(0, 2, 0, s1);
-  const SpanId o2 = c.record(Segment::kHost, 0, "b2", at_us(10), at_us(11));
-  const SpanId w2 = c.record(Segment::kWire, 0, "b2w", at_us(11), at_us(16), o2);
+  const SpanId o2 = c.record(Segment::kHost, 0, kUnit, "b2", at_us(10), at_us(11));
+  const SpanId w2 = c.record(Segment::kWire, 0, kUnit, "b2w", at_us(11), at_us(16), o2);
   c.complete_barrier(0, 2, 1, w2);
   ASSERT_EQ(c.completed().size(), 2u);
 
@@ -113,7 +117,7 @@ TEST(CausalTracerTest, ProfileAggregatesCompletedBarriers) {
 
 TEST(CausalTracerTest, ClearResetsEverything) {
   CausalTracer c;
-  const SpanId s = c.record(Segment::kHost, 0, "x", at_us(0), at_us(1));
+  const SpanId s = c.record(Segment::kHost, 0, kUnit, "x", at_us(0), at_us(1));
   c.complete_barrier(0, 2, 0, s);
   c.clear();
   EXPECT_EQ(c.span_count(), 0u);

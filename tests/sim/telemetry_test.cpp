@@ -1,30 +1,41 @@
-// Telemetry layer: metrics registry, trace-event sink and its category
-// mask, the Eq. 1-2 cost rows derived from the critical path, and the
-// end-to-end wiring through a real NIC-barrier experiment.
+// Telemetry layer: metrics registry, the Chrome trace written from the
+// causal span arena and its segment mask, the Eq. 1-2 cost rows derived
+// from the critical path, and the end-to-end wiring through a real
+// NIC-barrier experiment.
 #include "sim/telemetry.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstddef>
+#include <map>
+#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "coll/reduce.hpp"
 #include "coll/runner.hpp"
 #include "host/cluster.hpp"
+#include "rma/domain.hpp"
 #include "sim/causal.hpp"
 
 namespace nicbar {
 namespace {
 
-using sim::TraceCategory;
+using sim::Duration;
+using sim::SimTime;
+using sim::causal::CausalTracer;
 using sim::causal::CostRows;
 using sim::causal::PathProfile;
 using sim::causal::Segment;
+using sim::causal::SpanId;
+using sim::causal::Unit;
 using sim::telemetry::MetricsRegistry;
 using sim::telemetry::Telemetry;
-using sim::telemetry::TraceEventSink;
+using sim::telemetry::TraceLink;
 
 // --- A minimal JSON validity checker -------------------------------------------
 //
@@ -162,136 +173,200 @@ TEST(MetricsRegistryTest, JsonEscapesSpecialCharacters) {
   EXPECT_EQ(sim::telemetry::json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
 }
 
-// --- TraceEventSink ------------------------------------------------------------
+// --- Chrome trace over the span arena -----------------------------------------
 
-TEST(TraceEventSinkTest, TracksAreStableAndDeduplicated) {
-  TraceEventSink t;
-  const int a = t.track("nic0/sdma");
-  const int b = t.track("nic0/send");
-  EXPECT_NE(a, b);
-  EXPECT_EQ(t.track("nic0/sdma"), a);
-  EXPECT_EQ(t.track_count(), 2u);
+SimTime at_us(double us) { return SimTime{0} + sim::microseconds(us); }
+
+/// A barrier message's journey: host post and SEND on node 0, one wire hop
+/// (packet 7) whose 0.5 us propagation the trace trims, RECV on node 1, and
+/// a zero-length firmware join.
+CausalTracer journey(std::vector<TraceLink>& links) {
+  links = {{"t0->sw0", sim::microseconds(0.5)}};
+  CausalTracer c;
+  const SpanId post =
+      c.record(Segment::kHost, 0, Unit::host(0), "barrier_post", at_us(0), at_us(1));
+  const SpanId tx =
+      c.record(Segment::kSend, 0, Unit::engine(0, 1), "tx", at_us(1), at_us(2), post);
+  const SpanId wire = c.record(Segment::kWire, 1, Unit::link(0, true), "wire", at_us(2),
+                               at_us(3.5), tx, 0, 7);
+  const SpanId rx = c.record(Segment::kRecv, 1, Unit::engine(1, 2), "rx_barrier", at_us(3.5),
+                             at_us(4.5), wire);
+  c.record(Segment::kFirmware, 1, Unit::engine(1, 3), "gather_ready", at_us(4.5), at_us(4.5),
+           rx);
+  return c;
 }
 
-TEST(TraceEventSinkTest, RecordsDurationAndInstantEvents) {
-  TraceEventSink t;
-  const int a = t.track("link/x");
-  const int b = t.track("link/y");
-  t.duration(a, "tx", sim::SimTime{1000}, sim::Duration{500}, "net");
-  t.duration(a, "tx", sim::SimTime{2000}, sim::Duration{500}, "net");
-  t.instant(b, "drop", sim::SimTime{3000});
-  EXPECT_EQ(t.event_count(), 3u);
-  EXPECT_EQ(t.events_on(a), 2u);
-  EXPECT_EQ(t.events_on(b), 1u);
-}
-
-TEST(TraceEventSinkTest, WriteJsonIsValidChromeTraceFormat) {
-  TraceEventSink t;
-  const int a = t.track("nic0/sdma");
-  t.duration(a, "detect+setup", sim::SimTime{0} + sim::microseconds(1.5),
-             sim::microseconds(2.0));
-  t.instant(a, "fire", sim::SimTime{0} + sim::microseconds(9.0));
+std::string chrome_trace(const CausalTracer& c, const std::vector<TraceLink>& links,
+                         std::uint32_t mask = sim::kTraceAll) {
   std::ostringstream os;
-  t.write_json(os);
-  const std::string json = os.str();
+  write_chrome_trace(os, c, links, mask);
+  return os.str();
+}
+
+std::size_t count(const std::string& s, const std::string& what) {
+  std::size_t n = 0;
+  for (std::size_t pos = s.find(what); pos != std::string::npos; pos = s.find(what, pos + 1)) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(ChromeTraceTest, OneTrackPerUnitNamedAsBefore) {
+  // Tracks keep the names the Chrome trace always had (nicN/<engine>,
+  // nodeN/pci, nicN/fault, link/<name>) plus host and switch tracks; each
+  // unit gets exactly one, however many spans it did.
+  CausalTracer c;
+  const std::vector<TraceLink> links = {{"t3->sw0", Duration{0}}};
+  for (int i = 0; i < 3; ++i) {
+    c.record(Segment::kSdma, 3, Unit::engine(3, 0), "sdma_detect", at_us(i), at_us(i + 0.5));
+  }
+  c.record(Segment::kRdma, 3, Unit::engine(3, 3), "rdma_setup", at_us(4), at_us(5));
+  c.record(Segment::kRdma, 3, Unit::pci(3), "rdma_dma", at_us(5), at_us(6));
+  c.record(Segment::kFirmware, 3, Unit::nic(3), "crash", at_us(7), at_us(7));
+  c.record(Segment::kHost, 3, Unit::host(3), "host_recv", at_us(6), at_us(7));
+  c.record(Segment::kSwitch, 3, Unit::sw(0), "route", at_us(1), at_us(2), 0, 0, 9);
+  c.record(Segment::kWire, 3, Unit::link(0, false), "wire_drop", at_us(2), at_us(3), 0, 0, 9);
+  const std::string json = chrome_trace(c, links);
+  EXPECT_EQ(count(json, "\"thread_name\""), 7u);
+  for (const char* name : {"node3/host", "nic3/sdma", "nic3/rdma", "node3/pci", "nic3/fault",
+                           "switch/sw0", "link/t3->sw0"}) {
+    EXPECT_EQ(count(json, std::string("{\"name\": \"") + name + "\"}"), 1u) << name;
+  }
+  // Node tracks come first, in host, engine, pci, fault order.
+  EXPECT_LT(json.find("node3/host"), json.find("nic3/sdma"));
+  EXPECT_LT(json.find("nic3/rdma"), json.find("node3/pci"));
+  EXPECT_LT(json.find("nic3/fault"), json.find("switch/sw0"));
+  EXPECT_LT(json.find("switch/sw0"), json.find("link/t3->sw0"));
+}
+
+TEST(ChromeTraceTest, SpansBecomeDurationAndInstantEvents) {
+  std::vector<TraceLink> links;
+  const std::string json = chrome_trace(journey(links), links);
+  EXPECT_EQ(count(json, "\"ph\": \"X\""), 4u);
+  EXPECT_EQ(count(json, "\"ph\": \"i\""), 1u);  // the zero-length join
+  // Every parent edge crosses tracks here, so there are four arrows.
+  EXPECT_EQ(count(json, "\"ph\": \"s\""), 4u);
+  EXPECT_EQ(count(json, "\"ph\": \"f\""), 4u);
+}
+
+TEST(ChromeTraceTest, WriteJsonIsValidChromeTraceFormat) {
+  std::vector<TraceLink> links;
+  const std::string json = chrome_trace(journey(links), links);
   EXPECT_TRUE(valid_json(json)) << json;
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);  // thread_name metadata
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);
-  // ts is microseconds of simulated time.
-  EXPECT_NE(json.find("\"ts\": 1.500"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\": 2.000"), std::string::npos);
+  // ts is microseconds of simulated time; the link slice shows only the
+  // 1 us the wire was busy, not the 0.5 us propagation behind it.
+  EXPECT_NE(json.find("\"ts\": 3.500"), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"wire\", \"cat\": \"wire\", \"pid\": 0, \"tid\": 4, "
+                      "\"ts\": 2.000, \"dur\": 1.000"),
+            std::string::npos)
+      << json;
+  // An empty arena is still a loadable file.
+  EXPECT_TRUE(valid_json(chrome_trace(CausalTracer{}, {})));
 }
 
-TEST(TraceEventSinkTest, MaskFiltersAtEmissionTime) {
-  TraceEventSink t;
-  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kRdma));
-  const int a = t.track("mcp0");
-  t.duration(a, "keep", sim::SimTime{1000}, sim::Duration{500}, "sim",
-             sim::TraceCategory::kRdma);
-  t.duration(a, "drop", sim::SimTime{2000}, sim::Duration{500}, "sim",
-             sim::TraceCategory::kNet);
-  t.instant(a, "drop", sim::SimTime{3000}, "sim", sim::TraceCategory::kSdma);
-  t.flow_start(a, "drop", sim::SimTime{4000}, 9, "sim", sim::TraceCategory::kSend);
-  EXPECT_EQ(t.event_count(), 1u);
-  t.set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kAll));
-  t.flow_end(a, "keep", sim::SimTime{5000}, 9);
-  EXPECT_EQ(t.event_count(), 2u);
+TEST(ChromeTraceTest, MaskFiltersBySegmentAtWriteTime) {
+  std::vector<TraceLink> links;
+  const CausalTracer c = journey(links);
+  const std::string recv = chrome_trace(c, links, sim::trace_bit(Segment::kRecv));
+  EXPECT_EQ(count(recv, "\"ph\": \"X\""), 1u);
+  EXPECT_EQ(count(recv, "\"thread_name\""), 1u);  // only the unit with a shown span
+  EXPECT_EQ(count(recv, "\"ph\": \"s\""), 0u);   // an edge needs both ends shown
+  const std::string net = chrome_trace(
+      c, links, sim::trace_bit(Segment::kWire) | sim::trace_bit(Segment::kSend));
+  EXPECT_EQ(count(net, "\"ph\": \"X\""), 2u);
+  EXPECT_EQ(count(net, "\"ph\": \"s\""), 1u);  // tx -> wire
+  EXPECT_TRUE(valid_json(net));
+  EXPECT_EQ(count(chrome_trace(c, links, 0), "\"ph\""), 0u);
 }
 
-TEST(TraceEventSinkTest, GoldenJsonPinsFlowEventsAndCausalIds) {
-  // Pins the exact Chrome-trace serialisation of the three id-carrying event
-  // shapes: an "X" with args.id, and an "s"/"f" flow pair bound by the same
-  // packet id ("bp": "e" attaches the arrowhead to the enclosing slice).
-  // Perfetto renders the pair as an arrow following the packet from the
-  // sender's SEND engine to the receiver's RECV engine — byte-for-byte
-  // changes here break saved traces and the flow-arrow rendering.
-  TraceEventSink t;
-  const int tx = t.track("nic0/send");
-  const int rx = t.track("nic1/recv");
-  t.duration(tx, "tx", sim::SimTime{0} + sim::microseconds(1.0), sim::microseconds(2.0),
-             "nic", sim::TraceCategory::kSend, 7);
-  t.flow_start(tx, "pkt", sim::SimTime{0} + sim::microseconds(3.0), 7, "net",
-               sim::TraceCategory::kNet);
-  t.flow_end(rx, "pkt", sim::SimTime{0} + sim::microseconds(4.5), 7, "net",
-             sim::TraceCategory::kNet);
-  t.duration(rx, "rx", sim::SimTime{0} + sim::microseconds(4.5), sim::microseconds(1.0),
-             "nic", sim::TraceCategory::kRecv);  // id 0: no args block
-  std::ostringstream os;
-  t.write_json(os);
-  EXPECT_EQ(os.str(),
+TEST(ChromeTraceTest, GoldenJsonPinsFlowEventsAndCausalIds) {
+  // Pins the exact serialisation of every event shape: "M" track names, an
+  // "X" per span with its span id (and packet id on the wire), an "i" for
+  // the zero-length join, and an "s"/"f" flow pair per cross-track parent
+  // edge ("bp": "e" attaches the arrowhead to the enclosing slice), flow
+  // ids numbered in span order. Byte changes here break saved traces.
+  std::vector<TraceLink> links;
+  EXPECT_EQ(chrome_trace(journey(links), links),
             "{\"traceEvents\": [\n"
             "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 0, "
-            "\"args\": {\"name\": \"nic0/send\"}},\n"
+            "\"args\": {\"name\": \"node0/host\"}},\n"
             "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 1, "
+            "\"args\": {\"name\": \"nic0/send\"}},\n"
+            "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 2, "
             "\"args\": {\"name\": \"nic1/recv\"}},\n"
-            "  {\"ph\": \"X\", \"name\": \"tx\", \"cat\": \"nic\", \"pid\": 0, \"tid\": 0, "
-            "\"ts\": 1.000, \"dur\": 2.000, \"args\": {\"id\": 7}},\n"
-            "  {\"ph\": \"s\", \"name\": \"pkt\", \"cat\": \"net\", \"pid\": 0, \"tid\": 0, "
-            "\"ts\": 3.000, \"id\": 7},\n"
-            "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"pkt\", \"cat\": \"net\", \"pid\": 0, "
-            "\"tid\": 1, \"ts\": 4.500, \"id\": 7},\n"
-            "  {\"ph\": \"X\", \"name\": \"rx\", \"cat\": \"nic\", \"pid\": 0, \"tid\": 1, "
-            "\"ts\": 4.500, \"dur\": 1.000}\n"
+            "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 3, "
+            "\"args\": {\"name\": \"nic1/rdma\"}},\n"
+            "  {\"ph\": \"M\", \"name\": \"thread_name\", \"pid\": 0, \"tid\": 4, "
+            "\"args\": {\"name\": \"link/t0->sw0\"}},\n"
+            "  {\"ph\": \"X\", \"name\": \"barrier_post\", \"cat\": \"host\", \"pid\": 0, "
+            "\"tid\": 0, \"ts\": 0.000, \"dur\": 1.000, \"args\": {\"id\": 1}},\n"
+            "  {\"ph\": \"X\", \"name\": \"tx\", \"cat\": \"send\", \"pid\": 0, \"tid\": 1, "
+            "\"ts\": 1.000, \"dur\": 1.000, \"args\": {\"id\": 2}},\n"
+            "  {\"ph\": \"s\", \"name\": \"causal\", \"cat\": \"flow\", \"pid\": 0, "
+            "\"tid\": 0, \"ts\": 0.000, \"id\": 1},\n"
+            "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"flow\", "
+            "\"pid\": 0, \"tid\": 1, \"ts\": 1.000, \"id\": 1},\n"
+            "  {\"ph\": \"X\", \"name\": \"wire\", \"cat\": \"wire\", \"pid\": 0, "
+            "\"tid\": 4, \"ts\": 2.000, \"dur\": 1.000, \"args\": {\"id\": 3, "
+            "\"packet\": 7}},\n"
+            "  {\"ph\": \"s\", \"name\": \"causal\", \"cat\": \"flow\", \"pid\": 0, "
+            "\"tid\": 1, \"ts\": 1.000, \"id\": 2},\n"
+            "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"flow\", "
+            "\"pid\": 0, \"tid\": 4, \"ts\": 2.000, \"id\": 2},\n"
+            "  {\"ph\": \"X\", \"name\": \"rx_barrier\", \"cat\": \"recv\", \"pid\": 0, "
+            "\"tid\": 2, \"ts\": 3.500, \"dur\": 1.000, \"args\": {\"id\": 4}},\n"
+            "  {\"ph\": \"s\", \"name\": \"causal\", \"cat\": \"flow\", \"pid\": 0, "
+            "\"tid\": 4, \"ts\": 2.000, \"id\": 3},\n"
+            "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"flow\", "
+            "\"pid\": 0, \"tid\": 2, \"ts\": 3.500, \"id\": 3},\n"
+            "  {\"ph\": \"i\", \"name\": \"gather_ready\", \"cat\": \"firmware\", "
+            "\"pid\": 0, \"tid\": 3, \"ts\": 4.500, \"s\": \"t\", \"args\": {\"id\": 5}},\n"
+            "  {\"ph\": \"s\", \"name\": \"causal\", \"cat\": \"flow\", \"pid\": 0, "
+            "\"tid\": 2, \"ts\": 3.500, \"id\": 4},\n"
+            "  {\"ph\": \"f\", \"bp\": \"e\", \"name\": \"causal\", \"cat\": \"flow\", "
+            "\"pid\": 0, \"tid\": 3, \"ts\": 4.500, \"id\": 4}\n"
             "]}\n");
 }
 
-// --- Trace-category mask parser ---------------------------------------------------
+// --- Trace mask parser --------------------------------------------------------------
 
 TEST(TraceMaskTest, ParsesSingleNamesAndLists) {
   EXPECT_EQ(sim::parse_trace_mask("sdma"),
-            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kSdma)));
-  EXPECT_EQ(sim::parse_trace_mask("recv,net"),
-            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kRecv) |
-                                         static_cast<std::uint32_t>(TraceCategory::kNet)));
-  EXPECT_EQ(sim::parse_trace_mask("all"),
-            std::optional<std::uint32_t>(static_cast<std::uint32_t>(TraceCategory::kAll)));
-  // Every documented name parses to exactly one bit (or kAll).
-  for (const char* name : {"sdma", "send", "recv", "rdma", "net"}) {
-    const auto m = sim::parse_trace_mask(name);
-    ASSERT_TRUE(m.has_value()) << name;
-    EXPECT_EQ(__builtin_popcount(*m), 1) << name;
+            std::optional<std::uint32_t>(sim::trace_bit(Segment::kSdma)));
+  EXPECT_EQ(sim::parse_trace_mask("recv,wire,switch"),
+            std::optional<std::uint32_t>(sim::trace_bit(Segment::kRecv) |
+                                         sim::trace_bit(Segment::kWire) |
+                                         sim::trace_bit(Segment::kSwitch)));
+  EXPECT_EQ(sim::parse_trace_mask("all"), std::optional<std::uint32_t>(sim::kTraceAll));
+  // Every segment name parses to exactly its own bit.
+  for (std::size_t s = 0; s < sim::causal::kSegmentCount; ++s) {
+    const auto seg = static_cast<Segment>(s);
+    EXPECT_EQ(sim::parse_trace_mask(sim::causal::to_string(seg)),
+              std::optional<std::uint32_t>(sim::trace_bit(seg)))
+        << sim::causal::to_string(seg);
   }
 }
 
 TEST(TraceMaskTest, RejectsUnknownAndEmptyElements) {
   EXPECT_FALSE(sim::parse_trace_mask("").has_value());
   EXPECT_FALSE(sim::parse_trace_mask("bogus").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("net,").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask(",net").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("sdma,,net").has_value());
-  EXPECT_FALSE(sim::parse_trace_mask("Net").has_value());  // case-sensitive
-  // Categories nothing emits are not accepted: masking on one would
-  // silently write an empty trace.
-  for (const char* name : {"host", "barrier", "reliab"}) {
+  EXPECT_FALSE(sim::parse_trace_mask("wire,").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask(",wire").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("sdma,,wire").has_value());
+  EXPECT_FALSE(sim::parse_trace_mask("Wire").has_value());  // case-sensitive
+  // Names that are not segments are not accepted: "net" is spelled
+  // wire,switch now, and the old unemitted categories stay rejected.
+  for (const char* name : {"net", "barrier", "reliab", "pci"}) {
     EXPECT_FALSE(sim::parse_trace_mask(name).has_value()) << name;
   }
-  // The error-message helper names every accepted category.
+  // The error-message helper names every accepted segment.
   const std::string names = sim::trace_mask_names();
-  for (const char* name : {"sdma", "send", "recv", "rdma", "net", "all"}) {
+  for (std::size_t s = 0; s < sim::causal::kSegmentCount; ++s) {
+    const char* name = sim::causal::to_string(static_cast<Segment>(s));
     EXPECT_NE(names.find(name), std::string::npos) << name;
   }
+  EXPECT_NE(names.find("all"), std::string::npos);
 }
 
 // --- Eq. 1-2 cost rows ------------------------------------------------------------
@@ -474,88 +549,204 @@ TEST(TelemetryIntegrationTest, Fig5NicPe16LanaiRowsArePinnedInPicoseconds) {
   EXPECT_EQ(rows.total.ps(), 16'112'240'960);
 }
 
+/// X events per track name in a file from write_chrome_trace, which puts
+/// one event on each line.
+std::map<std::string, std::size_t> x_events_per_track(const std::string& json) {
+  std::map<int, std::string> names;
+  std::map<int, std::size_t> per_tid;
+  std::istringstream in(json);
+  for (std::string line; std::getline(in, line);) {
+    const std::size_t t = line.find("\"tid\": ");
+    if (t == std::string::npos) continue;
+    const int tid = std::stoi(line.substr(t + 7));
+    if (line.find("\"thread_name\"") != std::string::npos) {
+      const std::size_t n = line.find("{\"name\": \"") + 10;
+      names[tid] = line.substr(n, line.find('"', n) - n);
+    } else if (line.find("\"ph\": \"X\"") != std::string::npos) {
+      ++per_tid[tid];
+    }
+  }
+  std::map<std::string, std::size_t> out;
+  for (const auto& [tid, n] : per_tid) out[names[tid]] = n;
+  return out;
+}
+
+std::string trace_of(const Telemetry& t, std::uint32_t mask = sim::kTraceAll) {
+  return chrome_trace(*t.causal(), t.trace_links(), mask);
+}
+
 TEST(TelemetryIntegrationTest, TraceHasSpansPerEnginePerBarrierRound) {
   Telemetry t;
-  TraceEventSink& sink = t.enable_trace();
+  t.enable_causal();
   const int reps = 3;
   (void)coll::run_barrier_experiment(instrumented_params(t, reps));
+  const std::string json = trace_of(t);
+  const std::map<std::string, std::size_t> per_track = x_events_per_track(json);
 
   // One track per NIC engine, each with at least one span per barrier round.
   for (int n = 0; n < 4; ++n) {
     for (const char* e : {"sdma", "send", "recv", "rdma"}) {
       const std::string name = "nic" + std::to_string(n) + "/" + e;
-      const int id = sink.track(name);  // finds the existing track
-      EXPECT_GE(sink.events_on(id), static_cast<std::size_t>(reps)) << name;
+      ASSERT_EQ(per_track.count(name), 1u) << name;
+      EXPECT_GE(per_track.at(name), static_cast<std::size_t>(reps)) << name;
     }
   }
   // Links got their own tracks too (4 terminals on one switch = 8 links).
   std::size_t link_tracks = 0;
-  for (const std::string& name : sink.track_names()) {
+  for (const auto& [name, n] : per_track) {
     if (name.rfind("link/", 0) == 0) ++link_tracks;
   }
   EXPECT_EQ(link_tracks, 8u);
-
-  std::ostringstream os;
-  sink.write_json(os);
-  EXPECT_TRUE(valid_json(os.str()));
+  EXPECT_TRUE(valid_json(json));
 }
 
 TEST(TelemetryIntegrationTest, TraceMaskFiltersEndToEnd) {
-  // The same experiment traced twice: unfiltered, and restricted to the
-  // receive-engine category. The mask must thin the event stream at the sink
-  // (no call-site changes), and the full stream must carry the paired flow
-  // events that follow each packet across tracks.
-  coll::ExperimentParams p;
-  p.nodes = 4;
-  p.reps = 3;
-  p.spec.location = coll::Location::kNic;
-
-  Telemetry full;
-  full.enable_trace();
-  p.cluster.telemetry = &full;
+  // One traced experiment written unfiltered and once per segment: the mask
+  // thins the file at write time, the single-segment streams partition the
+  // full "X" stream, and the full stream carries the flow events that
+  // follow each packet across tracks.
+  Telemetry t;
+  t.enable_causal();
+  coll::ExperimentParams p = instrumented_params(t, 3);
   (void)coll::run_barrier_experiment(p);
+  const std::string full = trace_of(t);
+  const std::size_t full_x = count(full, "\"ph\": \"X\"");
 
-  Telemetry masked;
-  masked.enable_trace().set_mask(static_cast<std::uint32_t>(sim::TraceCategory::kRecv));
-  coll::ExperimentParams p2 = p;
-  p2.cluster.telemetry = &masked;
-  (void)coll::run_barrier_experiment(p2);
+  const std::string recv = trace_of(t, sim::trace_bit(Segment::kRecv));
+  EXPECT_GT(count(recv, "\"ph\": \"X\""), 0u);
+  EXPECT_LT(count(recv, "\"ph\": \"X\""), full_x);
+  EXPECT_TRUE(valid_json(recv));
 
-  EXPECT_GT(masked.trace()->event_count(), 0u);
-  EXPECT_LT(masked.trace()->event_count(), full.trace()->event_count());
-
-  // Every event carries exactly one emitted category (the NIC engines,
-  // PCI as rdma, and the links), so the single-category streams partition
-  // the full one and none of them is empty.
   std::size_t partitioned = 0;
-  for (const TraceCategory c : {TraceCategory::kSdma, TraceCategory::kSend,
-                                TraceCategory::kRecv, TraceCategory::kRdma,
-                                TraceCategory::kNet}) {
-    Telemetry one;
-    one.enable_trace().set_mask(static_cast<std::uint32_t>(c));
-    coll::ExperimentParams p3 = p;
-    p3.cluster.telemetry = &one;
-    (void)coll::run_barrier_experiment(p3);
-    EXPECT_GT(one.trace()->event_count(), 0u) << static_cast<std::uint32_t>(c);
-    partitioned += one.trace()->event_count();
+  for (std::size_t s = 0; s < sim::causal::kSegmentCount; ++s) {
+    partitioned += count(trace_of(t, sim::trace_bit(static_cast<Segment>(s))), "\"ph\": \"X\"");
   }
-  EXPECT_EQ(partitioned, full.trace()->event_count());
+  EXPECT_EQ(partitioned, full_x);
 
-  std::ostringstream os;
-  full.trace()->write_json(os);
-  const std::string json = os.str();
-  EXPECT_NE(json.find("\"ph\": \"s\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"f\""), std::string::npos);
-  EXPECT_NE(json.find("\"args\": {\"id\": "), std::string::npos);
+  EXPECT_NE(full.find("\"ph\": \"s\""), std::string::npos);
+  EXPECT_NE(full.find("\"ph\": \"f\""), std::string::npos);
+  EXPECT_NE(full.find("\"args\": {\"id\": "), std::string::npos);
+}
 
-  std::ostringstream os2;
-  masked.trace()->write_json(os2);
-  EXPECT_TRUE(valid_json(os2.str()));
+/// Spans and summed span time per unit of a tracer's arena.
+struct UnitLoad {
+  std::uint64_t spans = 0;
+  std::int64_t busy_ps = 0;
+};
+using UnitKey = std::tuple<Unit::Kind, std::uint32_t, std::uint8_t>;
+
+std::map<UnitKey, UnitLoad> load_by_unit(const CausalTracer& c) {
+  std::map<UnitKey, UnitLoad> out;
+  for (SpanId id = 1; id <= c.span_count(); ++id) {
+    const sim::causal::Span* s = c.span(id);
+    UnitLoad& l = out[UnitKey{s->unit.kind, s->unit.id, s->unit.sub}];
+    ++l.spans;
+    l.busy_ps += (s->end - s->start).ps();
+  }
+  return out;
+}
+
+/// Every firmware job of every engine and every PCI transfer shows up as a
+/// span on its unit's track: at least one span per job, and the spans add
+/// up to the engine's cycles (to within the 1 ps a cycle count can lose to
+/// rounding per job) and to the bus's busy time exactly.
+void expect_every_job_covered(const Telemetry& t, std::size_t nodes, const std::string& what) {
+  const std::map<UnitKey, UnitLoad> load = load_by_unit(*t.causal());
+  const auto at = [&load](UnitKey k) {
+    const auto it = load.find(k);
+    return it == load.end() ? UnitLoad{} : it->second;
+  };
+  std::uint64_t jobs_seen = 0;
+  for (std::size_t n = 0; n < nodes; ++n) {
+    const auto node = static_cast<std::uint32_t>(n);
+    const std::string nic = "nic" + std::to_string(n) + ".engine.";
+    for (std::uint8_t e = 0; e < nic::kMcpEngineCount; ++e) {
+      const std::string pfx = nic + nic::to_string(static_cast<nic::McpEngine>(e)) + ".";
+      const std::uint64_t jobs = *t.metrics().find_counter(pfx + "jobs");
+      const auto cycles = static_cast<std::int64_t>(*t.metrics().find_counter(pfx + "cycles"));
+      const UnitLoad l = at(UnitKey{Unit::Kind::kEngine, node, e});
+      const std::int64_t busy = sim::cycles_at_mhz(cycles, 33.0).ps();
+      EXPECT_GE(l.spans, jobs) << what << " " << pfx;
+      EXPECT_LE(l.busy_ps, busy) << what << " " << pfx;
+      EXPECT_GE(l.busy_ps + static_cast<std::int64_t>(2 * jobs), busy) << what << " " << pfx;
+      jobs_seen += jobs;
+    }
+    const std::string pci = "node" + std::to_string(n) + ".pci.";
+    const UnitLoad l = at(UnitKey{Unit::Kind::kPci, node, 0});
+    EXPECT_EQ(l.spans, *t.metrics().find_counter(pci + "jobs")) << what << " " << pci;
+    EXPECT_EQ(static_cast<std::uint64_t>(l.busy_ps), *t.metrics().find_counter(pci + "busy_ps"))
+        << what << " " << pci;
+  }
+  EXPECT_GT(jobs_seen, 0u) << what;
+}
+
+TEST(TelemetryIntegrationTest, TraceCoversEveryEngineJobAndPciTransfer) {
+  // Host-based barrier: the SDMA data path, acks, and RDMA delivery.
+  {
+    Telemetry t;
+    t.enable_causal();
+    coll::ExperimentParams p = instrumented_params(t, 3);
+    p.spec.location = coll::Location::kHost;
+    (void)coll::run_barrier_experiment(p);
+    expect_every_job_covered(t, p.nodes, "host barrier");
+  }
+  // NIC allreduce: reduce initiation, combining, and the completion DMA.
+  {
+    Telemetry t;
+    t.enable_causal();
+    host::ClusterParams cp;
+    cp.nodes = 4;
+    cp.telemetry = &t;
+    host::Cluster cluster(cp);
+    std::vector<gm::Endpoint> group;
+    for (std::size_t i = 0; i < cp.nodes; ++i) {
+      group.push_back(gm::Endpoint{static_cast<net::NodeId>(i), 2});
+    }
+    std::vector<std::unique_ptr<gm::Port>> ports;
+    std::vector<std::unique_ptr<coll::ReduceMember>> members;
+    for (std::size_t i = 0; i < cp.nodes; ++i) {
+      ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
+      members.push_back(std::make_unique<coll::ReduceMember>(
+          *ports.back(), group, coll::Location::kNic, nic::ReduceOp::kSum, 2));
+      cluster.sim().spawn([](coll::ReduceMember& m, std::int64_t v) -> sim::Task {
+        (void)co_await m.allreduce(v);
+      }(*members.back(), static_cast<std::int64_t>(i)));
+    }
+    cluster.sim().run();
+    cluster.snapshot_metrics();
+    ASSERT_EQ(cluster.nic(0).stats().reduces_completed, 1u);
+    expect_every_job_covered(t, cp.nodes, "reduce");
+  }
+  // One-sided put: RMA initiation and its PCI read, the target's apply and
+  // PCI write, and the reply.
+  {
+    Telemetry t;
+    t.enable_causal();
+    host::ClusterParams cp;
+    cp.nodes = 2;
+    cp.telemetry = &t;
+    host::Cluster cluster(cp);
+    std::vector<std::unique_ptr<gm::Port>> ports;
+    std::vector<std::unique_ptr<rma::Domain>> domains;
+    for (std::size_t i = 0; i < cp.nodes; ++i) {
+      ports.push_back(cluster.open_port(static_cast<net::NodeId>(i), 2));
+      domains.push_back(std::make_unique<rma::Domain>(*ports.back()));
+    }
+    rma::Segment& target = domains[1]->register_segment(4);
+    cluster.sim().spawn([](rma::Domain& d, gm::Endpoint dst, std::uint64_t seg) -> sim::Task {
+      (void)co_await d.rput(dst, seg, 1, 42);
+    }(*domains[0], gm::Endpoint{1, 2}, target.id()));
+    cluster.sim().run();
+    cluster.snapshot_metrics();
+    ASSERT_EQ(target.load(1), 42);
+    expect_every_job_covered(t, cp.nodes, "rma put");
+  }
 }
 
 TEST(TelemetryIntegrationTest, DetachedTelemetryKeepsTimelineIdentical) {
-  // The zero-cost discipline, observed end to end: attaching the full bundle
-  // must not change any simulated timestamp.
+  // The zero-cost discipline, observed end to end: attaching the bundle
+  // with causal tracing (the source of every trace and breakdown) must not
+  // change any simulated timestamp.
   coll::ExperimentParams plain;
   plain.nodes = 4;
   plain.reps = 3;
@@ -563,7 +754,6 @@ TEST(TelemetryIntegrationTest, DetachedTelemetryKeepsTimelineIdentical) {
   const double bare_us = coll::run_barrier_experiment(plain).mean_us;
 
   Telemetry t;
-  t.enable_trace();
   t.enable_causal();
   coll::ExperimentParams wired = plain;
   wired.cluster.telemetry = &t;

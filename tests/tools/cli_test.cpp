@@ -232,28 +232,39 @@ TEST(CliTest, CheckRejectsGarbageAndSingleRunArtifacts) {
 
 TEST(CliTest, TraceMaskParsesCategoryLists) {
   std::string err;
+  using sim::causal::Segment;
   auto o = parse_args({"--trace-json", "t.json", "--trace-mask", "recv,rdma"}, err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_TRUE(o->have_trace_mask);
-  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kRecv) |
-                               static_cast<std::uint32_t>(sim::TraceCategory::kRdma));
+  EXPECT_EQ(o->trace_mask, sim::trace_bit(Segment::kRecv) | sim::trace_bit(Segment::kRdma));
 
-  o = parse_args({"--trace-json=t.json", "--trace-mask=net"}, err);  // = form too
+  o = parse_args({"--trace-json=t.json", "--trace-mask=wire,switch"}, err);  // = form too
   ASSERT_TRUE(o.has_value()) << err;
-  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kNet));
+  EXPECT_EQ(o->trace_mask, sim::trace_bit(Segment::kWire) | sim::trace_bit(Segment::kSwitch));
+
+  o = parse_args({"--trace-json", "t.json", "--trace-mask", "host,firmware,rep"}, err);
+  ASSERT_TRUE(o.has_value()) << err;
+  EXPECT_EQ(o->trace_mask, sim::trace_bit(Segment::kHost) | sim::trace_bit(Segment::kFirmware) |
+                               sim::trace_bit(Segment::kRep));
+
+  // The old fabric category is spelled wire,switch now: "net" is rejected
+  // with the parser's diagnostic.
+  EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", "net"}, err).has_value());
+  EXPECT_NE(err.find("unknown category"), std::string::npos);
 
   // Default: everything passes, not flagged as user-given.
   o = parse_args({"--trace-json", "t.json"}, err);
   ASSERT_TRUE(o.has_value()) << err;
   EXPECT_FALSE(o->have_trace_mask);
-  EXPECT_EQ(o->trace_mask, static_cast<std::uint32_t>(sim::TraceCategory::kAll));
+  EXPECT_EQ(o->trace_mask, sim::kTraceAll);
 }
 
 TEST(CliTest, TraceMaskRejectsUnknownNamesWithTheAcceptedList) {
   std::string err;
   EXPECT_FALSE(parse_args({"--trace-json", "t.json", "--trace-mask", "bogus"}, err).has_value());
   EXPECT_NE(err.find("--trace-mask"), std::string::npos);
-  EXPECT_NE(err.find("sdma,send,recv,rdma,net"), std::string::npos);  // names the accepted set
+  EXPECT_NE(err.find("host,sdma,send,wire,switch,recv,firmware,rdma,rep,all"),
+            std::string::npos);  // names the accepted set
   // Categories nothing emits are rejected with the same diagnostic.
   EXPECT_FALSE(
       parse_args({"--trace-json", "t.json", "--trace-mask", "barrier"}, err).has_value());
@@ -264,7 +275,7 @@ TEST(CliTest, TraceMaskRejectsUnknownNamesWithTheAcceptedList) {
 
 TEST(CliTest, TraceMaskRequiresTraceJson) {
   std::string err;
-  EXPECT_FALSE(parse_args({"--trace-mask", "net"}, err).has_value());
+  EXPECT_FALSE(parse_args({"--trace-mask", "wire"}, err).has_value());
   EXPECT_NE(err.find("--trace-json"), std::string::npos);
 }
 
@@ -354,13 +365,17 @@ TEST(CliTest, PdesWorkersRejectsZeroAndGarbage) {
 
 TEST(CliTest, PdesWorkersExcludesSingleLaneCollectors) {
   std::string err;
-  // The Chrome trace sink records in global wall order: single-lane only.
-  EXPECT_FALSE(parse_args({"--pdes-workers", "4", "--trace-json", "t.json"}, err).has_value());
-  EXPECT_NE(err.find("--pdes-workers"), std::string::npos);
-  // --pdes-workers 1 keeps the serial engine, so the sink stays legal.
+  // Every collector works under PDES: the sharded causal tracer does, and
+  // --breakdown and --trace-json are views of it.
+  EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--trace-json", "t.json"}, err).has_value())
+      << err;
+  EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--trace-json", "t.json", "--trace-mask",
+                          "recv"},
+                         err)
+                  .has_value())
+      << err;
   EXPECT_TRUE(parse_args({"--pdes-workers", "1", "--trace-json", "t.json"}, err).has_value())
       << err;
-  // The sharded causal tracer works under PDES, and --breakdown is a view of it.
   EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--critical-path"}, err).has_value()) << err;
   EXPECT_TRUE(parse_args({"--pdes-workers", "4", "--breakdown"}, err).has_value()) << err;
 }

@@ -25,10 +25,10 @@ struct Options {
   bool breakdown = false;
   std::string metrics_path;
   std::string trace_path;
-  /// --trace-mask LIST: restrict --trace-json output to the named
-  /// sim::TraceCategory values (parsed eagerly so typos fail at the command
-  /// line, not after the run). Defaults to everything.
-  std::uint32_t trace_mask = static_cast<std::uint32_t>(sim::TraceCategory::kAll);
+  /// --trace-mask LIST: restrict --trace-json output to the named causal
+  /// segments (parsed eagerly so typos fail at the command line, not after
+  /// the run). Defaults to everything.
+  std::uint32_t trace_mask = sim::kTraceAll;
   bool have_trace_mask = false;
   /// --critical-path: enable causal tracing for a single run and print the
   /// exact critical path of the last completed barrier plus the per-segment
@@ -120,19 +120,23 @@ inline const char* usage_text() {
       "  --pdes-workers N   run the single experiment on the conservative PDES\n"
       "                     engine: N leaf-aligned partitions on N worker threads\n"
       "                     (default 1 = serial). The timeline, counters, and\n"
-      "                     causal record are bit-identical for every N; only\n"
-      "                     wall-clock time changes. Not available with\n"
-      "                     --trace-json (that sink is single-lane) or the\n"
-      "                     workload/check subcommands\n"
+      "                     causal record (and so --trace-json) are\n"
+      "                     bit-identical for every N; only wall-clock time\n"
+      "                     changes. Not available with the workload/check\n"
+      "                     subcommands\n"
       "  --predict          also print the Eq. 1-3 analytic prediction\n"
       "  --breakdown        print the Eq. 1-2 cost breakdown: the critical-path\n"
       "                     attribution grouped into host / NIC / RDMA / wire /\n"
       "                     queue rows that sum to the total exactly (turns on\n"
       "                     causal tracing, like --critical-path)\n"
       "  --metrics-json F   write hardware counters/gauges as JSON to F\n"
-      "  --trace-json F     write a Chrome trace-event file (Perfetto) to F\n"
-      "  --trace-mask LIST  restrict --trace-json to a comma-separated category\n"
-      "                     list (sdma,send,recv,rdma,net,all)\n"
+      "  --trace-json F     write the causal span record as a Chrome trace-event\n"
+      "                     file (Perfetto) to F: one track per host CPU, MCP\n"
+      "                     engine, PCI bus, link and switch (turns on causal\n"
+      "                     tracing, like --critical-path)\n"
+      "  --trace-mask LIST  restrict --trace-json to a comma-separated segment\n"
+      "                     list (host,sdma,send,wire,switch,recv,firmware,\n"
+      "                     rdma,rep,all)\n"
       "  --critical-path    single run: trace causality and print the exact\n"
       "                     critical path + per-segment attribution (Eq. 1-2\n"
       "                     terms); fails if the DAG is cyclic or unattributed\n"
@@ -457,11 +461,6 @@ inline std::optional<Options> parse(int argc, char** argv, std::string& error) {
     }
   }
 
-  if (o.pdes_given && o.params.cluster.pdes_partitions > 1 && !o.trace_path.empty()) {
-    return fail("--trace-json records in global wall order and is single-lane; not "
-                "available with --pdes-workers > 1 (--breakdown, --critical-path and "
-                "--metrics-json are)");
-  }
   if (o.pdes_given && (o.workload || o.check)) {
     return fail("--pdes-workers applies to a single barrier experiment; not "
                 "available with the workload/check subcommands");

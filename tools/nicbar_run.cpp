@@ -516,8 +516,7 @@ int main(int argc, char** argv) {
   const bool want_telemetry =
       o.breakdown || !o.metrics_path.empty() || !o.trace_path.empty() || o.critical_path;
   if (want_telemetry) {
-    if (!o.trace_path.empty()) telemetry.enable_trace().set_mask(o.trace_mask);
-    if (o.breakdown || o.critical_path) telemetry.enable_causal();
+    if (o.breakdown || o.critical_path || !o.trace_path.empty()) telemetry.enable_causal();
     p.cluster.telemetry = &telemetry;
   }
 
@@ -595,8 +594,12 @@ int main(int argc, char** argv) {
     std::printf("metrics written to %s\n", o.metrics_path.c_str());
   }
   if (!o.trace_path.empty()) {
-    if (!write_file(o.trace_path,
-                    [&](std::ostream& os) { telemetry.trace()->write_json(os); })) {
+    // Canonical span ids make the file the same at every --pdes-workers N.
+    telemetry.causal()->canonicalize();
+    if (!write_file(o.trace_path, [&](std::ostream& os) {
+          sim::telemetry::write_chrome_trace(os, *telemetry.causal(), telemetry.trace_links(),
+                                             o.trace_mask);
+        })) {
       return 1;
     }
     std::printf("trace written to %s (open in https://ui.perfetto.dev)\n", o.trace_path.c_str());
