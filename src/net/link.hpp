@@ -32,7 +32,7 @@ struct LinkParams {
 
 class Link {
  public:
-  using DeliverFn = std::function<void(Packet)>;
+  using DeliverFn = std::function<void(PacketPtr)>;
   /// Cross-partition delivery hook: (arrival time, ordering key, delivery
   /// closure) is posted to the PDES channel matrix instead of this lane's
   /// queue. See sim/sync.hpp for the handoff convention.
@@ -67,8 +67,9 @@ class Link {
 
   /// Queues `p` for transmission. Returns the time serialisation finishes
   /// (the sender's transmit channel frees up); delivery happens one
-  /// propagation delay later.
-  sim::SimTime transmit(Packet p);
+  /// propagation delay later, by moving `p` on to the receiver. A dropped
+  /// packet is freed here.
+  sim::SimTime transmit(PacketPtr p);
 
   /// Fault injection: drop each packet with probability `prob`.
   void set_drop_probability(double prob, std::uint64_t seed = 1) {

@@ -49,11 +49,11 @@ void Network::connect_terminal(NodeId terminal, int switch_id, std::size_t port)
 
   // Uplink delivers into the switch; downlink hangs off the switch port.
   Switch* swp = &sw;
-  t.up->set_deliver([swp](Packet p) { swp->accept(std::move(p)); });
+  t.up->set_deliver([swp](PacketPtr p) { swp->accept(std::move(p)); });
   sw.attach_out(port, t.down);
   NodeId tid = terminal;
   Network* self = this;
-  t.down->set_deliver([self, tid](Packet p) {
+  t.down->set_deliver([self, tid](PacketPtr p) {
     Terminal& dst = self->terminals_.at(tid);
     if (dst.deliver) dst.deliver(std::move(p));
   });
@@ -75,8 +75,8 @@ void Network::connect_switches(int switch_a, std::size_t port_a, int switch_b,
   b.attach_out(port_b, ba);
   Switch* bp = &b;
   Switch* ap = &a;
-  ab->set_deliver([bp](Packet p) { bp->accept(std::move(p)); });
-  ba->set_deliver([ap](Packet p) { ap->accept(std::move(p)); });
+  ab->set_deliver([bp](PacketPtr p) { bp->accept(std::move(p)); });
+  ba->set_deliver([ap](PacketPtr p) { ap->accept(std::move(p)); });
 
   switch_adj_[static_cast<std::size_t>(switch_a)].push_back(
       SwitchEdge{switch_b, static_cast<std::uint8_t>(port_a)});
@@ -89,6 +89,7 @@ void Network::finalize() {
     // Closed-form routing: no all-pairs table. At 4096 terminals the BFS
     // table alone would hold 16.7M route vectors; the provider computes
     // each pair on demand and route() memoises the ones actually used.
+    route_cache_.resize(terminals_.size());
     finalized_ = true;
     return;
   }
@@ -150,14 +151,9 @@ void Network::set_deliver(NodeId terminal, DeliverFn fn) {
 const std::vector<std::uint8_t>& Network::route(NodeId src, NodeId dst) const {
   assert(finalized_);
   if (route_provider_) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) | dst;
-    // Serialize cache insertion (lanes of a partitioned run route
-    // concurrently); the node-stable reference outlives the lock.
-    const std::lock_guard<std::mutex> lock(route_mu_);
-    auto it = route_cache_.find(key);
-    if (it == route_cache_.end()) {
-      it = route_cache_.emplace(key, route_provider_(src, dst)).first;
-    }
+    auto& cache = route_cache_.at(src);
+    auto it = cache.find(dst);
+    if (it == cache.end()) it = cache.emplace(dst, route_provider_(src, dst)).first;
     const std::vector<std::uint8_t>& r = it->second;
     if (r.empty() && src != dst) throw std::logic_error("no route between terminals");
     return r;
@@ -167,15 +163,15 @@ const std::vector<std::uint8_t>& Network::route(NodeId src, NodeId dst) const {
   return r;
 }
 
-sim::SimTime Network::inject(Packet p) {
+sim::SimTime Network::inject(PacketPtr p) {
   assert(finalized_);
-  Terminal& t = terminals_.at(p.src_node);
-  p.route = route(p.src_node, p.dst_node);
-  p.hop = 0;
+  Terminal& t = terminals_.at(p->src_node);
+  p->route = route(p->src_node, p->dst_node);
+  p->hop = 0;
   // The uplink is bound to the injecting node's lane, so its clock — not
   // the build lane's — is the packet's entry timestamp.
-  p.injected_at = t.up->sim().now();
-  if (p.id == 0) p.id = allocate_packet_id(p.src_node);
+  p->injected_at = t.up->sim().now();
+  if (p->id == 0) p->id = allocate_packet_id(p->src_node);
   injected_.fetch_add(1, std::memory_order_relaxed);
   return t.up->transmit(std::move(p));
 }

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -36,7 +35,7 @@ struct PartitionMap {
 
 class Network {
  public:
-  using DeliverFn = std::function<void(Packet)>;
+  using DeliverFn = std::function<void(PacketPtr)>;
 
   explicit Network(sim::Simulator& sim, LinkParams link_params = {},
                    SwitchParams switch_params = {})
@@ -67,12 +66,17 @@ class Network {
 
   void set_deliver(NodeId terminal, DeliverFn fn);
 
-  /// Injects `p` from its src_node terminal: stamps the route and id, then
-  /// transmits on the terminal's uplink. Returns the time the sender's
-  /// transmit channel frees up.
-  sim::SimTime inject(Packet p);
+  /// Injects `p` from its src_node terminal: points its route at the
+  /// fabric's bytes for (src, dst), stamps the id, then moves it onto the
+  /// terminal's uplink. Returns the time the sender's transmit channel
+  /// frees up. Runs on the source terminal's lane.
+  sim::SimTime inject(PacketPtr p);
 
-  /// The precomputed route (switch output ports) from src to dst.
+  /// The route (switch output ports) from src to dst. The bytes stay at the
+  /// same address for the Network's lifetime, so packets view them rather
+  /// than copy them. With a route provider, the pair is computed and cached
+  /// on first use in `src`'s own cache: during a partitioned run only the
+  /// source's lane (inject) touches it, so no lock is needed.
   [[nodiscard]] const std::vector<std::uint8_t>& route(NodeId src, NodeId dst) const;
 
   /// Number of switch hops between two terminals.
@@ -159,13 +163,11 @@ class Network {
   // routes_[src * terminals + dst]; empty when a route provider is installed.
   std::vector<std::vector<std::uint8_t>> routes_;
   RouteProviderFn route_provider_;
-  // Lazy per-pair cache for provider-computed routes. route() hands out
-  // references, so entries must be address-stable once inserted
-  // (unordered_map nodes are). Partitioned runs call route() from several
-  // lanes at once, so insertion is serialized by route_mu_; the returned
-  // references stay valid after unlock.
-  mutable std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> route_cache_;
-  mutable std::mutex route_mu_;
+  // Lazy provider-route cache, one map per source terminal (indexed by src,
+  // keyed by dst). route() hands out references, so entries must be
+  // address-stable once inserted (unordered_map nodes are). Each source's
+  // map is written only from that source's lane.
+  mutable std::vector<std::unordered_map<NodeId, std::vector<std::uint8_t>>> route_cache_;
   bool finalized_ = false;
   std::atomic<std::uint64_t> injected_{0};  // bumped by every lane's sends
   std::vector<std::uint64_t> packet_seq_;   // per-node id stripes (one writer each)

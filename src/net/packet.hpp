@@ -2,13 +2,26 @@
 //
 // Myrinet is source-routed: the sending NIC prepends one routing byte per
 // switch hop and each switch strips its byte and forwards. We keep the route
-// as an explicit vector of output-port indices plus a hop cursor. Packets are
-// small value objects passed by move through the fabric.
+// as a view of output-port indices plus a hop cursor that advances instead
+// of stripping (see wire_bytes). The bytes belong to the Network, which
+// keeps them at a stable address for its whole life, so a packet never
+// copies its route.
+//
+// Ownership: a packet in flight is one PacketPtr, allocated once where the
+// packet is created and moved — never copied — from the SEND engine through
+// every link and switch to the receiving NIC's firmware. Its block comes from
+// the size-class free lists of sim/frame_arena.hpp, so a steady run recycles
+// packet memory instead of allocating it. Packet values are copied only where
+// the model keeps a second packet: the sent list (retransmission) and the
+// replicas of a multidestination send.
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <memory>
+#include <span>
+#include <utility>
 
+#include "sim/frame_arena.hpp"
 #include "sim/time.hpp"
 
 namespace nicbar::net {
@@ -116,7 +129,8 @@ struct Packet {
   bool rma_ok = true;
 
   // Source route: output port to take at each switch, plus the hop cursor.
-  std::vector<std::uint8_t> route;
+  // A view of bytes owned by the Network (see Network::route).
+  std::span<const std::uint8_t> route;
   std::size_t hop = 0;
 
   sim::SimTime injected_at{0};  // set by the fabric when the packet enters
@@ -132,11 +146,24 @@ struct Packet {
   /// it and discards after paying the full receive occupancy.
   bool corrupted = false;
 
-  /// Bytes occupying the wire: header + one route byte per remaining hop +
-  /// payload. `header_bytes` models the GM packet header + CRC.
+  /// Bytes occupying the wire: header + the whole route + payload. The model
+  /// charges every route byte on every hop (carried, not stripped), so a
+  /// packet's serialisation time is the same on each link it crosses.
+  /// `header_bytes` models the GM packet header + CRC.
   [[nodiscard]] std::int64_t wire_bytes(std::int64_t header_bytes) const {
     return header_bytes + static_cast<std::int64_t>(route.size()) + payload_bytes;
   }
+
+  // Packets churn at event rate; recycle their blocks (sim/frame_arena.hpp).
+  static void* operator new(std::size_t size) { return sim::frame_arena::allocate(size); }
+  static void operator delete(void* p) noexcept { sim::frame_arena::deallocate(p); }
 };
+
+/// The one owner of a packet in flight (see the header comment).
+using PacketPtr = std::unique_ptr<Packet>;
+
+[[nodiscard]] inline PacketPtr make_packet(Packet p) {
+  return std::make_unique<Packet>(std::move(p));
+}
 
 }  // namespace nicbar::net

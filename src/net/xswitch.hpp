@@ -46,7 +46,8 @@ class Switch {
   [[nodiscard]] Link* out_link(std::size_t port) const { return out_.at(port); }
 
   /// A packet's head has arrived: consume the next route byte and forward.
-  void accept(Packet p);
+  /// A packet the switch cannot forward is freed here.
+  void accept(PacketPtr p);
 
   /// Attaches a causal tracer: every forwarded packet gains a kSwitch span
   /// covering the routing latency. Nullptr detaches (default, zero-cost).

@@ -46,8 +46,7 @@ void Nic::set_telemetry(sim::telemetry::Telemetry* telemetry) {
   causal_ = telemetry != nullptr ? telemetry->causal() : nullptr;
 }
 
-sim::SimTime Nic::engine_charge(McpEngine engine, std::int64_t cycles,
-                                std::function<void()> on_done) {
+sim::SimTime Nic::engine_charge(McpEngine engine, std::int64_t cycles, sim::SmallFn on_done) {
   const auto i = static_cast<std::size_t>(engine);
   ++engines_.jobs[i];
   engines_.cycles[i] += cycles;
@@ -56,17 +55,32 @@ sim::SimTime Nic::engine_charge(McpEngine engine, std::int64_t cycles,
 
 sim::causal::SpanId Nic::engine_submit(McpEngine engine, sim::causal::Segment seg,
                                        const char* job, std::int64_t cycles,
-                                       std::function<void()> on_done,
+                                       sim::SmallFn on_done,
                                        sim::causal::SpanId parent,
                                        sim::causal::SpanId parent2) {
   const sim::SimTime end = engine_charge(engine, cycles, std::move(on_done));
   return engine_span(engine, seg, job, end, cycles, parent, parent2);
 }
 
+void Nic::engine_pass(McpEngine engine, sim::causal::Segment seg, const char* job,
+                      std::int64_t cycles, net::PacketPtr p, void (Nic::*next)(net::PacketPtr)) {
+  // The closure takes the pointer, the packet itself stays put: `pk` is
+  // valid until the job completes.
+  Packet& pk = *p;
+  pk.causal = engine_submit(
+      engine, seg, job, cycles,
+      [this, next, pkt = std::move(p)]() mutable { (this->*next)(std::move(pkt)); }, pk.causal);
+}
+
 sim::causal::SpanId Nic::pci_submit(sim::causal::Segment seg, const char* job,
-                                    sim::Duration service, std::function<void()> on_done,
+                                    sim::Duration service, sim::SmallFn on_done,
                                     sim::causal::SpanId parent) {
   const sim::SimTime end = pci_.submit(service, std::move(on_done));
+  return pci_span(seg, job, end, service, parent);
+}
+
+sim::causal::SpanId Nic::pci_span(sim::causal::Segment seg, const char* job, sim::SimTime end,
+                                  sim::Duration service, sim::causal::SpanId parent) {
   if (causal_ == nullptr) return 0;
   return causal_->record(seg, node_, sim::causal::Unit::pci(node_), job, end - service, end,
                          parent);
@@ -232,18 +246,19 @@ void Nic::post_multicast_token(MulticastToken token) {
           ++stats_.multicasts_sent;
           for (const Endpoint& dst : token.destinations) {
             // Per-destination packet preparation, pipelined on the processor.
-            auto tok = std::make_shared<MulticastToken>(token);
             engine_submit(McpEngine::kSdma, sim::causal::Segment::kSdma, "prepare",
-                          config_.sdma_prepare_cycles, [this, tok, dst] {
+                          config_.sdma_prepare_cycles,
+                          [this, dst, src_port = token.src_port, bytes = token.bytes,
+                           tag = token.tag, value = token.value] {
               Packet p;
               p.type = PacketType::kData;
               p.src_node = node_;
-              p.src_port = tok->src_port;
+              p.src_port = src_port;
               p.dst_node = dst.node;
               p.dst_port = dst.port;
-              p.payload_bytes = tok->bytes;
-              p.tag = tok->tag;
-              p.value = tok->value;
+              p.payload_bytes = bytes;
+              p.tag = tag;
+              p.value = value;
               enqueue_reliable(std::move(p), nullptr);
             });
           }
@@ -263,67 +278,65 @@ void Nic::enqueue_reliable(Packet p, std::function<void()> on_sent) {
   c.sent_list.push_back(SentRecord{p, std::move(on_sent), sim_.now(), false});
   arm_retransmit(p.dst_node);
   ++stats_.data_sent;
-  transmit(std::move(p));
+  transmit(net::make_packet(std::move(p)));
 }
 
-void Nic::transmit(Packet p, std::int64_t send_cycles_override) {
+void Nic::transmit(net::PacketPtr p, std::int64_t send_cycles_override) {
   if (crashed_) {
     ++stats_.tx_dropped_crashed;
     return;
   }
   // Stamp the fabric-unique id here (not at injection) so loopback packets
   // carry it too.
-  if (p.id == 0) p.id = net_.allocate_packet_id(node_);
+  if (p->id == 0) p->id = net_.allocate_packet_id(node_);
   const std::int64_t cost =
       send_cycles_override >= 0
           ? send_cycles_override
-          : (net::is_barrier_payload(p.type) ? config_.barrier_send_cycles : config_.send_cycles);
-  auto packet = std::make_shared<Packet>(std::move(p));
+          : (net::is_barrier_payload(p->type) ? config_.barrier_send_cycles : config_.send_cycles);
   // The packet's causal chain now ends at this SEND-engine span; wire and
   // switch hops extend it in flight.
-  packet->causal = engine_submit(
-      McpEngine::kSend, sim::causal::Segment::kSend, "tx", cost,
-      [this, packet]() mutable {
-        if (packet->dst_node == node_) {
-          // Same-NIC delivery: skip the fabric, model a short internal turnaround.
-          Packet copy = *packet;
-          sim_.schedule_in(proc_.cycles(config_.send_cycles),
-                           [this, pkt = std::move(copy)]() mutable { rx_packet(std::move(pkt)); });
-          return;
-        }
-        net_.inject(std::move(*packet));
-      },
-      packet->causal);
+  engine_pass(McpEngine::kSend, sim::causal::Segment::kSend, "tx", cost, std::move(p),
+              &Nic::send_out);
+}
+
+void Nic::send_out(net::PacketPtr p) {
+  if (p->dst_node == node_) {
+    // Same-NIC delivery: skip the fabric, model a short internal turnaround.
+    sim_.schedule_in(proc_.cycles(config_.send_cycles),
+                     [this, pkt = std::move(p)]() mutable { rx_packet(std::move(pkt)); });
+    return;
+  }
+  net_.inject(std::move(p));
 }
 
 void Nic::send_control(Packet p) {
   // Acks/nacks are small unsequenced control packets prepared by RDMA/SEND.
-  transmit(std::move(p));
+  transmit(net::make_packet(std::move(p)));
 }
 
 // --- RECV dispatch --------------------------------------------------------------------
 
-void Nic::rx_packet(Packet p) {
+void Nic::rx_packet(net::PacketPtr p) {
   if (crashed_) {
     // The LANai processor is halted: the packet dies at the port.
     ++stats_.rx_dropped_crashed;
     return;
   }
-  if (p.corrupted) {
+  const sim::causal::SpanId arrival = p->causal;
+  if (p->corrupted) {
     // The CRC check runs after the whole packet has streamed in, so the
     // RECV engine pays its full occupancy before discarding.
     engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_crc_drop",
-                  config_.recv_cycles, [this] { ++stats_.crc_drops; }, p.causal);
+                  config_.recv_cycles, [this] { ++stats_.crc_drops; }, arrival);
     return;
   }
-  if (const Connection* c = conns_.find(p.src_node); c != nullptr && c->dead) {
+  if (const Connection* c = conns_.find(p->src_node); c != nullptr && c->dead) {
     // Traffic from a peer we gave up on; the connection state is torn down,
     // so nothing here can be interpreted safely.
     ++stats_.dead_peer_drops;
     return;
   }
-  auto packet = std::make_shared<Packet>(std::move(p));
-  switch (packet->type) {
+  switch (p->type) {
     // RMA payloads share the kData receive path end-to-end: same RECV
     // occupancy, same sequence check, same go-back-N — the stream is where
     // their ordering guarantee comes from. They fork off only at
@@ -333,93 +346,89 @@ void Nic::rx_packet(Packet p) {
     case PacketType::kRmaCas:
     case PacketType::kRmaReply:
     case PacketType::kData:
-      packet->causal = engine_submit(
-          McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_data", config_.recv_cycles,
-          [this, packet]() mutable { recv_data(std::move(*packet)); }, packet->causal);
+      engine_pass(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_data", config_.recv_cycles,
+                  std::move(p), &Nic::recv_data);
       break;
     case PacketType::kAck:
       engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_ack",
-                    config_.recv_ack_cycles, [this, packet] { recv_ack(*packet); },
-                    packet->causal);
+                    config_.recv_ack_cycles, [this, pkt = std::move(p)] { recv_ack(*pkt); },
+                    arrival);
       break;
     case PacketType::kNack:
       engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_nack",
-                    config_.recv_ack_cycles, [this, packet] { recv_nack(*packet); },
-                    packet->causal);
+                    config_.recv_ack_cycles, [this, pkt = std::move(p)] { recv_nack(*pkt); },
+                    arrival);
       break;
     case PacketType::kBarrierPe:
     case PacketType::kBarrierGather:
     case PacketType::kBarrierBcast:
     case PacketType::kReduceUp:
     case PacketType::kReduceDown:
-      packet->causal = engine_submit(
-          McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier", config_.recv_cycles,
-          [this, packet]() mutable { barrier_rx(std::move(*packet)); }, packet->causal);
+      engine_pass(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier",
+                  config_.recv_cycles, std::move(p), &Nic::barrier_rx);
       break;
     case PacketType::kBarrierAck:
       engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier_ack",
-                    config_.recv_ack_cycles, [this, packet] { barrier_recv_barrier_ack(*packet); },
-                    packet->causal);
+                    config_.recv_ack_cycles,
+                    [this, pkt = std::move(p)] { barrier_recv_barrier_ack(*pkt); }, arrival);
       break;
     case PacketType::kBarrierNack:
       engine_submit(McpEngine::kRecv, sim::causal::Segment::kRecv, "rx_barrier_nack",
-                    config_.recv_ack_cycles, [this, packet] { barrier_handle_nack(*packet); },
-                    packet->causal);
+                    config_.recv_ack_cycles,
+                    [this, pkt = std::move(p)] { barrier_handle_nack(*pkt); }, arrival);
       break;
   }
 }
 
-void Nic::recv_data(Packet p) {
-  Connection& c = conn(p.src_node);
-  if (p.seq == c.next_expected_seq) {
+void Nic::recv_data(net::PacketPtr p) {
+  Connection& c = conn(p->src_node);
+  if (p->seq == c.next_expected_seq) {
     // In-order. GM receive-side flow control: without a host buffer the
     // packet cannot be accepted; leave the stream position unchanged so the
     // sender's retransmission redelivers it later. Collective payloads
     // (shared-stream mode) are consumed by the NIC itself, no host buffer;
     // non-leading fragments use the buffer claimed by fragment 0.
-    if (!net::is_collective_payload(p.type) && !net::is_rma_payload(p.type) &&
-        p.frag_index == 0 &&
-        port(p.dst_port).open && port(p.dst_port).recv_tokens.empty()) {
+    if (!net::is_collective_payload(p->type) && !net::is_rma_payload(p->type) &&
+        p->frag_index == 0 &&
+        port(p->dst_port).open && port(p->dst_port).recv_tokens.empty()) {
       ++stats_.no_token_drops;
-      send_nack(p.src_node);
+      send_nack(p->src_node);
       return;
     }
     ++c.next_expected_seq;
     c.nack_outstanding = false;
-    send_ack(p.src_node);
+    send_ack(p->src_node);
     accept_in_order(std::move(p));
-  } else if (p.seq < c.next_expected_seq) {
+  } else if (p->seq < c.next_expected_seq) {
     ++stats_.duplicates_dropped;
-    send_ack(p.src_node);  // re-ack so the sender can retire it
+    send_ack(p->src_node);  // re-ack so the sender can retire it
   } else {
     ++stats_.out_of_order_dropped;
     if (!c.nack_outstanding) {
       c.nack_outstanding = true;
-      send_nack(p.src_node);
+      send_nack(p->src_node);
     }
   }
 }
 
-void Nic::accept_in_order(Packet p) {
-  if (net::is_collective_payload(p.type)) {
+void Nic::accept_in_order(net::PacketPtr p) {
+  if (net::is_collective_payload(p->type)) {
     // Shared-stream mode: the barrier message passed the ordinary stream
     // check; now run the barrier firmware on it.
-    const std::int64_t cost = p.type == PacketType::kBarrierPe
+    const std::int64_t cost = p->type == PacketType::kBarrierPe
                                   ? config_.barrier_pe_cycles
                                   : config_.barrier_gb_cycles;
-    auto packet = std::make_shared<Packet>(std::move(p));
-    packet->causal = engine_submit(
-        McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
-        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
+    engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+                std::move(p), &Nic::barrier_rx_in_order);
     return;
   }
-  if (net::is_rma_payload(p.type)) {
+  if (net::is_rma_payload(p->type)) {
     // One-sided ops terminate in the firmware, never in a host buffer.
     rma_rx_in_order(std::move(p));
     return;
   }
   ++stats_.data_received;
-  if (!port(p.dst_port).open) {
+  if (!port(p->dst_port).open) {
     ++stats_.closed_port_drops;
     return;
   }
@@ -537,7 +546,7 @@ void Nic::retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.sent_list) {
     rec.retransmitted = true;  // Karn: its ack can no longer be sampled
     ++stats_.retransmissions;
-    transmit(rec.packet);
+    transmit(net::make_packet(rec.packet));
   }
   if (!c.sent_list.empty()) arm_retransmit(remote);
 }
@@ -620,35 +629,36 @@ void Nic::send_nack(NodeId remote) {
 
 // --- RDMA ----------------------------------------------------------------------------------------
 
-void Nic::deliver_to_host(Packet p) {
-  PortState& ps = port(p.dst_port);
-  if (p.frag_index == 0) {
+void Nic::deliver_to_host(net::PacketPtr p) {
+  PortState& ps = port(p->dst_port);
+  if (p->frag_index == 0) {
     // Fragment 0 (or a whole unfragmented message) claims the host buffer;
     // later fragments stream into the same buffer.
     assert(!ps.recv_tokens.empty());  // guaranteed by the recv_data token check
     ps.recv_tokens.pop_front();
   }
-  auto packet = std::make_shared<Packet>(std::move(p));
-  packet->causal = engine_submit(
+  Packet& pk = *p;  // stays put while the jobs below own the pointer
+  pk.causal = engine_submit(
       McpEngine::kRdma, sim::causal::Segment::kRdma, "rdma_setup", config_.rdma_setup_cycles,
-      [this, packet] {
+      [this, pkt = std::move(p)]() mutable {
+        Packet& rx = *pkt;
         const sim::Duration dma =
-            config_.pci_setup +
-            sim::transfer_time(packet->payload_bytes, config_.pci_bandwidth_mbps);
-        packet->causal = pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma, [this, packet] {
+            config_.pci_setup + sim::transfer_time(rx.payload_bytes, config_.pci_bandwidth_mbps);
+        rx.causal = pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma,
+                               [this, msg = std::move(pkt)] {
           // The host sees one event per *message*, on the final fragment.
-          if (packet->frag_index + 1 != packet->frag_count) return;
+          if (msg->frag_index + 1 != msg->frag_count) return;
           GmEvent ev;
           ev.type = GmEventType::kRecv;
-          ev.peer = Endpoint{packet->src_node, packet->src_port};
-          ev.bytes = packet->frag_count == 1 ? packet->payload_bytes : packet->message_bytes;
-          ev.tag = packet->tag;
-          ev.value = packet->value;
-          ev.causal = packet->causal;
-          push_event(packet->dst_port, ev);
-        }, packet->causal);
+          ev.peer = Endpoint{msg->src_node, msg->src_port};
+          ev.bytes = msg->frag_count == 1 ? msg->payload_bytes : msg->message_bytes;
+          ev.tag = msg->tag;
+          ev.value = msg->value;
+          ev.causal = msg->causal;
+          push_event(msg->dst_port, ev);
+        }, rx.causal);
       },
-      packet->causal);
+      pk.causal);
 }
 
 void Nic::push_event(PortId p, GmEvent ev) {

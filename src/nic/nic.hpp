@@ -23,6 +23,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -38,6 +39,7 @@
 #include "sim/causal.hpp"
 #include "sim/server.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/sync.hpp"
 #include "sim/telemetry.hpp"
 
@@ -178,7 +180,8 @@ class Nic {
   // --- Network-facing interface -------------------------------------------------
 
   /// A packet head has fully arrived from the fabric (RECV engine entry).
-  void rx_packet(net::Packet p);
+  /// The NIC owns the packet from here on.
+  void rx_packet(net::PacketPtr p);
 
   // --- Fault injection ---------------------------------------------------------
 
@@ -259,7 +262,7 @@ class Nic {
     /// arrived before their segment registered (flushed on rma_register).
     std::map<std::uint64_t, RmaMemory*> rma_segments;
     RmaSink* rma_sink = nullptr;
-    std::deque<net::Packet> rma_parked;
+    std::deque<net::PacketPtr> rma_parked;
   };
 
   Connection& conn(NodeId remote);
@@ -283,18 +286,24 @@ class Nic {
   /// records the job as a span of `seg` named `job` on the engine's unit.
   /// Returns the span id (0 when causal tracing is detached).
   sim::causal::SpanId engine_submit(McpEngine engine, sim::causal::Segment seg, const char* job,
-                                    std::int64_t cycles, std::function<void()> on_done = nullptr,
+                                    std::int64_t cycles, sim::SmallFn on_done = nullptr,
                                     sim::causal::SpanId parent = 0,
                                     sim::causal::SpanId parent2 = 0);
   /// engine_submit without the span, for a job whose time the caller splits
   /// across spans itself. Returns the job's end.
-  sim::SimTime engine_charge(McpEngine engine, std::int64_t cycles,
-                             std::function<void()> on_done);
+  sim::SimTime engine_charge(McpEngine engine, std::int64_t cycles, sim::SmallFn on_done);
+  /// A firmware job on packet `p`: engine_submit whose span extends the
+  /// packet's causal chain, then `next` takes the packet when the job ends.
+  void engine_pass(McpEngine engine, sim::causal::Segment seg, const char* job,
+                   std::int64_t cycles, net::PacketPtr p, void (Nic::*next)(net::PacketPtr));
   /// Occupies the PCI bus for `service` and records it as a span of `seg`
   /// named `job` on the bus's unit. Returns the span id (0 when detached).
   sim::causal::SpanId pci_submit(sim::causal::Segment seg, const char* job,
-                                 sim::Duration service, std::function<void()> on_done = nullptr,
+                                 sim::Duration service, sim::SmallFn on_done = nullptr,
                                  sim::causal::SpanId parent = 0);
+  /// The span pci_submit records, for a transfer of `service` ending at `end`.
+  sim::causal::SpanId pci_span(sim::causal::Segment seg, const char* job, sim::SimTime end,
+                               sim::Duration service, sim::causal::SpanId parent);
   /// Records a span on `engine`'s unit for work that ended at `end` after
   /// `cycles` of processor time; returns 0 when causal tracing is detached.
   sim::causal::SpanId engine_span(McpEngine engine, sim::causal::Segment seg, const char* label,
@@ -310,17 +319,18 @@ class Nic {
   /// SEND engine: cycles, then wire/loopback. `send_cycles_override` >= 0
   /// replaces the per-packet SEND charge (multidestination replication pays
   /// the per-copy header-rewrite cost, not a full packet preparation).
-  void transmit(net::Packet p, std::int64_t send_cycles_override = -1);
+  void transmit(net::PacketPtr p, std::int64_t send_cycles_override = -1);
+  void send_out(net::PacketPtr p);   // end of the SEND job: fabric or loopback
   void send_control(net::Packet p);  // acks and nacks (unsequenced)
 
   // --- RECV dispatch -------------------------------------------------------------
-  void recv_data(net::Packet p);
+  void recv_data(net::PacketPtr p);
   void recv_ack(const net::Packet& p);
   void recv_nack(const net::Packet& p);
-  void accept_in_order(net::Packet p);  // passed seq check (data or barrier)
+  void accept_in_order(net::PacketPtr p);  // passed seq check (data or barrier)
 
   // --- RDMA ---------------------------------------------------------------------------
-  void deliver_to_host(net::Packet p);
+  void deliver_to_host(net::PacketPtr p);
   void push_event(PortId port, GmEvent ev);
 
   // --- Reliability -------------------------------------------------------------------
@@ -338,9 +348,9 @@ class Nic {
   void declare_peer_dead(NodeId remote);
 
   // --- Barrier firmware (nic_barrier.cpp) ------------------------------------------
-  void barrier_start(BarrierToken token);                 // SDMA side
-  void barrier_rx(net::Packet p);                         // RDMA side
-  void barrier_rx_in_order(net::Packet p);                // after stream check
+  void barrier_start(std::unique_ptr<BarrierToken> token);  // SDMA side
+  void barrier_rx(net::PacketPtr p);                         // RDMA side
+  void barrier_rx_in_order(net::PacketPtr p);                // after stream check
   void barrier_record(const net::Packet& p, bool for_closed_port);
   void barrier_try_advance_pe(PortId local_port);
   void barrier_check_gather(PortId local_port);
@@ -355,26 +365,26 @@ class Nic {
   /// type, and for a release on the active token's family).
   [[nodiscard]] std::int64_t barrier_rx_cost(const net::Packet& p);
   void barrier_complete(PortId local_port);
-  void barrier_closed_port_arrival(net::Packet p);
+  void barrier_closed_port_arrival(const net::Packet& p);
   void barrier_send_nack(const net::Packet& original);
   void barrier_handle_nack(const net::Packet& p);
   void flush_closed_port_records(PortId opened_port);
   // Separate-ack barrier reliability:
   void barrier_enqueue_separate(net::Packet p, std::int64_t tx_cost = -1);
-  void barrier_recv_separate(net::Packet p);
+  void barrier_recv_separate(net::PacketPtr p);
   void barrier_recv_barrier_ack(const net::Packet& p);
   void arm_barrier_retransmit(NodeId remote);
   void barrier_retransmit_all(NodeId remote);
 
   // --- One-sided RMA firmware (nic_rma.cpp) -----------------------------------------
-  void rma_rx_in_order(net::Packet p);       // target/initiator, after seq check
-  void rma_apply(net::Packet p);             // target: put/get/cas at the firmware
+  void rma_rx_in_order(net::PacketPtr p);    // target/initiator, after seq check
+  void rma_apply(net::PacketPtr p);          // target: put/get/cas at the firmware
   void rma_reply(const net::Packet& request, std::int64_t value, bool ok);
-  void rma_absorb_reply(net::Packet p);      // initiator: notify the sink
+  void rma_absorb_reply(net::PacketPtr p);   // initiator: notify the sink
 
   // --- Reduction firmware (nic_reduce.cpp) ------------------------------------------
   void reduce_start(ReduceToken token);
-  void reduce_rx_in_order(net::Packet p);               // dispatched by barrier_rx paths
+  void reduce_rx_in_order(const net::Packet& p);        // dispatched by barrier_rx paths
   void reduce_check_children(PortId local_port);
   void reduce_send(PortId local_port, Endpoint dst, net::PacketType type,
                    std::uint32_t epoch, std::int64_t value);

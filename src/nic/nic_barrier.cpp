@@ -53,23 +53,26 @@ void Nic::post_barrier_token(BarrierToken token) {
         (token.is_root() ? 0 : 1));
     cycles += entries * config_.barrier_hier_init_per_entry_cycles;
   }
-  auto tok = std::make_shared<BarrierToken>(std::move(token));
+  // The token's one NIC-side copy: the job owns it, then the port does.
+  auto tok = std::make_unique<BarrierToken>(std::move(token));
+  BarrierToken& t = *tok;
   const sim::SimTime end = engine_charge(
-      McpEngine::kSdma, cycles, [this, tok]() mutable { barrier_start(std::move(*tok)); });
+      McpEngine::kSdma, cycles,
+      [this, parked = std::move(tok)]() mutable { barrier_start(std::move(parked)); });
   if (causal_ != nullptr) {
     // One engine job covers both the SDMA token detection and the firmware
     // barrier initiation; attribute each half to its own segment.
     const std::int64_t init_cycles = cycles - config_.sdma_detect_cycles;
     const std::uint64_t detect =
         engine_span(McpEngine::kSdma, sim::causal::Segment::kSdma, "sdma_detect",
-                    end - proc_.cycles(init_cycles), config_.sdma_detect_cycles, tok->causal);
-    tok->causal = engine_span(McpEngine::kSdma, sim::causal::Segment::kFirmware, "barrier_init",
-                              end, init_cycles, detect);
+                    end - proc_.cycles(init_cycles), config_.sdma_detect_cycles, t.causal);
+    t.causal = engine_span(McpEngine::kSdma, sim::causal::Segment::kFirmware, "barrier_init",
+                           end, init_cycles, detect);
   }
 }
 
-void Nic::barrier_start(BarrierToken token) {
-  PortState& ps = port(token.src_port);
+void Nic::barrier_start(std::unique_ptr<BarrierToken> token) {
+  PortState& ps = port(token->src_port);
   if (!ps.open) return;  // endpoint closed while the token was in flight
   if (ps.active_barrier && !ps.active_barrier->completed) {
     throw std::logic_error("barrier already active on this port");
@@ -77,12 +80,12 @@ void Nic::barrier_start(BarrierToken token) {
   // A managed token requires its group's slot binding: the lifecycle layer
   // allocates before the first barrier and frees only after the last, so a
   // violation here is a host-side lifecycle bug, not a race.
-  NICBAR_CHECK(token.group == 0 || slots_.bound(token.group, token.src_port), "nic.barrier",
+  NICBAR_CHECK(token->group == 0 || slots_.bound(token->group, token->src_port), "nic.barrier",
                sim_.now(), "port %u: barrier for group %llu without a slot binding",
-               token.src_port, static_cast<unsigned long long>(token.group));
+               token->src_port, static_cast<unsigned long long>(token->group));
   ++stats_.barriers_started;
-  const PortId p = token.src_port;
-  ps.active_barrier = std::make_unique<BarrierToken>(std::move(token));
+  const PortId p = token->src_port;
+  ps.active_barrier = std::move(token);
   switch (ps.active_barrier->algorithm) {
     case BarrierAlgorithm::kPairwiseExchange:
       barrier_try_advance_pe(p);
@@ -112,17 +115,14 @@ std::int64_t Nic::barrier_rx_cost(const Packet& p) {
   return config_.barrier_gb_cycles;
 }
 
-void Nic::barrier_rx(Packet p) {
+void Nic::barrier_rx(net::PacketPtr p) {
   // Runs after the RECV engine's per-packet cycles. Route by the configured
   // reliability mode, then pay the algorithm's bookkeeping cycles.
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable: {
-      const std::int64_t cost = barrier_rx_cost(p);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      packet->causal = engine_submit(
-          McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
-          [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); },
-          packet->causal);
+      const std::int64_t cost = barrier_rx_cost(*p);
+      engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+                  std::move(p), &Nic::barrier_rx_in_order);
       break;
     }
     case BarrierReliability::kSharedStream:
@@ -136,7 +136,8 @@ void Nic::barrier_rx(Packet p) {
   }
 }
 
-void Nic::barrier_rx_in_order(Packet p) {
+void Nic::barrier_rx_in_order(net::PacketPtr pkt) {
+  const Packet& p = *pkt;
   ++stats_.barrier_packets_received;
   // Group fence: a packet tagged with a managed group id is only admitted
   // while that group holds a slot for the destination port. Anything else is
@@ -150,11 +151,11 @@ void Nic::barrier_rx_in_order(Packet p) {
   }
   PortState& ps = port(p.dst_port);
   if (!ps.open) {
-    barrier_closed_port_arrival(std::move(p));
+    barrier_closed_port_arrival(p);
     return;
   }
   if (p.type == PacketType::kReduceUp || p.type == PacketType::kReduceDown) {
-    reduce_rx_in_order(std::move(p));
+    reduce_rx_in_order(p);
     return;
   }
   BarrierToken* tok = ps.active_barrier.get();
@@ -462,10 +463,9 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
     // §3.4 optimisation: same-NIC barrier message just sets the flag — no
     // wire, no SEND/RECV engines, only a short firmware hop.
     ++stats_.barrier_loopback_msgs;
-    auto packet = std::make_shared<Packet>(std::move(p));
-    packet->causal = engine_submit(
-        McpEngine::kRdma, sim::causal::Segment::kFirmware, "loopback", config_.barrier_pe_cycles,
-        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
+    engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "loopback",
+                config_.barrier_pe_cycles, net::make_packet(std::move(p)),
+                &Nic::barrier_rx_in_order);
     return;
   }
 
@@ -475,7 +475,7 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
   const std::int64_t tx_cost = mcast_copy ? config_.barrier_mcast_send_cycles : -1;
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable:
-      transmit(std::move(p), tx_cost);
+      transmit(net::make_packet(std::move(p)), tx_cost);
       break;
     case BarrierReliability::kSharedStream: {
       Connection& c = conn(p.dst_node);
@@ -486,7 +486,7 @@ void Nic::barrier_send(PortId local_port, Endpoint dst, PacketType type, std::ui
       p.seq = c.next_send_seq++;
       c.sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
       arm_retransmit(p.dst_node);
-      transmit(std::move(p), tx_cost);
+      transmit(net::make_packet(std::move(p)), tx_cost);
       break;
     }
     case BarrierReliability::kSeparateAcks:
@@ -523,23 +523,26 @@ void Nic::barrier_complete(PortId local_port) {
         config_.pci_setup + sim::transfer_time(8, config_.pci_bandwidth_mbps);
     BarrierToken* t = port(local_port).last_barrier.get();
     const std::uint64_t parent = t != nullptr && t->epoch == epoch ? t->causal : 0;
-    auto dma_span = std::make_shared<std::uint64_t>(0);
-    *dma_span = pci_submit(sim::causal::Segment::kRdma, "rdma_dma", dma,
-                           [this, local_port, epoch, dma_span] {
+    // The completion event carries the DMA's own span, so record the span
+    // first (its end is known before the bus takes the job).
+    const sim::causal::SpanId dma_span =
+        pci_span(sim::causal::Segment::kRdma, "rdma_dma", pci_.completion_if_submitted(dma), dma,
+                 parent);
+    pci_.submit(dma, [this, local_port, epoch, dma_span] {
       PortState& p = port(local_port);
       if (p.barrier_buffers > 0) --p.barrier_buffers;
       GmEvent ev;
       ev.type = GmEventType::kBarrierComplete;
       ev.barrier_epoch = epoch;
-      ev.causal = *dma_span;
+      ev.causal = dma_span;
       push_event(local_port, ev);
-    }, parent);
+    });
   }, done->causal);
 }
 
 // --- Closed-port handling (§3.2) -------------------------------------------------------------------
 
-void Nic::barrier_closed_port_arrival(Packet p) {
+void Nic::barrier_closed_port_arrival(const Packet& p) {
   ++stats_.closed_port_drops;
   switch (config_.closed_port_policy) {
     case ClosedPortPolicy::kClearOnOpen:
@@ -651,27 +654,25 @@ void Nic::barrier_enqueue_separate(Packet p, std::int64_t tx_cost) {
   p.barrier_seq = c.next_barrier_send_seq++;
   c.barrier_sent_list.push_back(SentRecord{p, nullptr, sim_.now(), false});
   arm_barrier_retransmit(p.dst_node);
-  transmit(std::move(p), tx_cost);
+  transmit(net::make_packet(std::move(p)), tx_cost);
 }
 
-void Nic::barrier_recv_separate(Packet p) {
-  Connection& c = conn(p.src_node);
+void Nic::barrier_recv_separate(net::PacketPtr p) {
+  Connection& c = conn(p->src_node);
   Packet ack;
   ack.type = PacketType::kBarrierAck;
   ack.src_node = node_;
-  ack.dst_node = p.src_node;
+  ack.dst_node = p->src_node;
 
-  if (p.barrier_seq == c.next_expected_barrier_seq) {
+  if (p->barrier_seq == c.next_expected_barrier_seq) {
     ++c.next_expected_barrier_seq;
     c.barrier_nack_outstanding = false;
     ack.ack = c.next_expected_barrier_seq - 1;
     send_control(std::move(ack));
-    const std::int64_t cost = barrier_rx_cost(p);
-    auto packet = std::make_shared<Packet>(std::move(p));
-    packet->causal = engine_submit(
-        McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
-        [this, packet]() mutable { barrier_rx_in_order(std::move(*packet)); }, packet->causal);
-  } else if (p.barrier_seq < c.next_expected_barrier_seq) {
+    const std::int64_t cost = barrier_rx_cost(*p);
+    engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "barrier_advance", cost,
+                std::move(p), &Nic::barrier_rx_in_order);
+  } else if (p->barrier_seq < c.next_expected_barrier_seq) {
     ++stats_.duplicates_dropped;
     ack.ack = c.next_expected_barrier_seq - 1;  // re-ack
     send_control(std::move(ack));
@@ -736,7 +737,7 @@ void Nic::barrier_retransmit_all(NodeId remote) {
   for (SentRecord& rec : c.barrier_sent_list) {
     rec.retransmitted = true;
     ++stats_.retransmissions;
-    transmit(rec.packet);
+    transmit(net::make_packet(rec.packet));
   }
   if (!c.barrier_sent_list.empty()) arm_barrier_retransmit(remote);
 }

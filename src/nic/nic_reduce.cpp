@@ -70,7 +70,7 @@ void Nic::reduce_start(ReduceToken token) {
   reduce_check_children(p);
 }
 
-void Nic::reduce_rx_in_order(Packet p) {
+void Nic::reduce_rx_in_order(const Packet& p) {
   PortState& ps = port(p.dst_port);
   ReduceToken* tok = ps.active_reduce.get();
   const Endpoint src{p.src_node, p.src_port};
@@ -160,29 +160,28 @@ void Nic::reduce_send(PortId local_port, Endpoint dst, PacketType type, std::uin
 
   if (config_.barrier_loopback && dst.node == node_) {
     ++stats_.barrier_loopback_msgs;
-    auto packet = std::make_shared<Packet>(std::move(p));
     engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "loopback",
-                  config_.barrier_gb_cycles, [this, packet]() mutable {
+                  config_.barrier_gb_cycles, [this, pkt = net::make_packet(std::move(p))] {
       ++stats_.barrier_packets_received;
-      if (!port(packet->dst_port).open) {
-        barrier_closed_port_arrival(std::move(*packet));
+      if (!port(pkt->dst_port).open) {
+        barrier_closed_port_arrival(*pkt);
         return;
       }
-      reduce_rx_in_order(std::move(*packet));
+      reduce_rx_in_order(*pkt);
     });
     return;
   }
 
   switch (config_.barrier_reliability) {
     case BarrierReliability::kUnreliable:
-      transmit(std::move(p));
+      transmit(net::make_packet(std::move(p)));
       break;
     case BarrierReliability::kSharedStream: {
       Connection& c = conn(p.dst_node);
       p.seq = c.next_send_seq++;
       c.sent_list.push_back(SentRecord{p, nullptr});
       arm_retransmit(p.dst_node);
-      transmit(std::move(p));
+      transmit(net::make_packet(std::move(p)));
       break;
     }
     case BarrierReliability::kSeparateAcks:

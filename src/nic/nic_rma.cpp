@@ -78,9 +78,9 @@ void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
   PortState& ps = port(p);
   ps.rma_segments[segment] = mem;
   // Flush ops that raced ahead of registration, preserving arrival order.
-  std::deque<Packet> still_parked;
-  for (Packet& parked : ps.rma_parked) {
-    if (parked.rma_segment == segment) {
+  std::deque<net::PacketPtr> still_parked;
+  for (net::PacketPtr& parked : ps.rma_parked) {
+    if (parked->rma_segment == segment) {
       rma_rx_in_order(std::move(parked));
     } else {
       still_parked.push_back(std::move(parked));
@@ -91,27 +91,23 @@ void Nic::rma_register(PortId p, std::uint64_t segment, RmaMemory* mem) {
 
 void Nic::set_rma_sink(PortId p, RmaSink* sink) { port(p).rma_sink = sink; }
 
-void Nic::rma_rx_in_order(Packet p) {
-  if (p.type == PacketType::kRmaReply) {
-    auto packet = std::make_shared<Packet>(std::move(p));
-    engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_reply",
-                  config_.rma_reply_cycles,
-                  [this, packet]() mutable { rma_absorb_reply(std::move(*packet)); },
-                  packet->causal);
+void Nic::rma_rx_in_order(net::PacketPtr p) {
+  if (p->type == PacketType::kRmaReply) {
+    engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_reply",
+                config_.rma_reply_cycles, std::move(p), &Nic::rma_absorb_reply);
     return;
   }
   std::int64_t cost = config_.rma_put_cycles;
-  if (p.type == PacketType::kRmaGet) cost = config_.rma_get_cycles;
-  if (p.type == PacketType::kRmaCas) cost = config_.rma_cas_cycles;
-  auto packet = std::make_shared<Packet>(std::move(p));
+  if (p->type == PacketType::kRmaGet) cost = config_.rma_get_cycles;
+  if (p->type == PacketType::kRmaCas) cost = config_.rma_cas_cycles;
   // The apply span heads the op's target-side chain (the PCI transfer of a
   // put or get); the reply packet starts a fresh one.
-  packet->causal =
-      engine_submit(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_apply", cost,
-                    [this, packet]() mutable { rma_apply(std::move(*packet)); }, packet->causal);
+  engine_pass(McpEngine::kRdma, sim::causal::Segment::kFirmware, "rma_apply", cost, std::move(p),
+              &Nic::rma_apply);
 }
 
-void Nic::rma_apply(Packet p) {
+void Nic::rma_apply(net::PacketPtr pkt) {
+  const Packet& p = *pkt;
   PortState& ps = port(p.dst_port);
   if (!ps.open) {
     ++stats_.closed_port_drops;
@@ -124,7 +120,7 @@ void Nic::rma_apply(Packet p) {
     // Registration race: the initiator's segment is constructed but ours is
     // not yet. Park; rma_register flushes in arrival order.
     ++stats_.rma_parked;
-    ps.rma_parked.push_back(std::move(p));
+    ps.rma_parked.push_back(std::move(pkt));
     return;
   }
   RmaMemory* mem = seg->second;
@@ -140,12 +136,12 @@ void Nic::rma_apply(Packet p) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, packet, mem] {
+      const sim::causal::SpanId parent = p.causal;
+      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, op = std::move(pkt), mem] {
         ++stats_.rma_puts_applied;
-        mem->write(packet->rma_index, packet->value);
-        rma_reply(*packet, packet->value, true);
-      }, packet->causal);
+        mem->write(op->rma_index, op->value);
+        rma_reply(*op, op->value, true);
+      }, parent);
       break;
     }
     case PacketType::kRmaGet: {
@@ -153,11 +149,11 @@ void Nic::rma_apply(Packet p) {
       const sim::Duration dma =
           config_.pci_setup +
           sim::transfer_time(p.payload_bytes, config_.pci_bandwidth_mbps);
-      auto packet = std::make_shared<Packet>(std::move(p));
-      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, packet, mem] {
+      const sim::causal::SpanId parent = p.causal;
+      pci_submit(sim::causal::Segment::kRdma, "rma_dma", dma, [this, op = std::move(pkt), mem] {
         ++stats_.rma_gets_served;
-        rma_reply(*packet, mem->read(packet->rma_index), true);
-      }, packet->causal);
+        rma_reply(*op, mem->read(op->rma_index), true);
+      }, parent);
       break;
     }
     case PacketType::kRmaCas: {
@@ -191,14 +187,14 @@ void Nic::rma_reply(const Packet& request, std::int64_t value, bool ok) {
   enqueue_reliable(std::move(r), nullptr);
 }
 
-void Nic::rma_absorb_reply(Packet p) {
-  PortState& ps = port(p.dst_port);
+void Nic::rma_absorb_reply(net::PacketPtr p) {
+  PortState& ps = port(p->dst_port);
   if (!ps.open || ps.rma_sink == nullptr) {
     ++stats_.rma_rejected;
     return;
   }
   ++stats_.rma_replies;
-  ps.rma_sink->rma_complete(p.rma_op, p.value, p.rma_ok);
+  ps.rma_sink->rma_complete(p->rma_op, p->value, p->rma_ok);
 }
 
 }  // namespace nicbar::nic

@@ -15,7 +15,12 @@ std::string one_line(const std::string& subsystem, SimTime when, const std::stri
   return msg;
 }
 
-thread_local bool g_enabled = true;
+/// Raises `a` to at least `v` (relaxed; concurrent raises keep the larger).
+void raise_to(std::atomic<std::uint64_t>& a, std::uint64_t v) {
+  std::uint64_t cur = a.load(std::memory_order_relaxed);
+  while (v > cur && !a.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
 
 }  // namespace
 
@@ -26,10 +31,6 @@ InvariantViolation::InvariantViolation(std::string subsystem, SimTime when,
       condition_(std::move(condition)),
       detail_(std::move(detail)),
       when_(when) {}
-
-bool enabled() { return g_enabled; }
-
-void set_enabled(bool on) { g_enabled = on; }
 
 std::string format(const char* fmt, ...) {
   va_list args;
@@ -59,19 +60,21 @@ void BarrierSafetyMonitor::arrive(std::size_t m, SimTime when) {
 void BarrierSafetyMonitor::complete(std::size_t m, SimTime when) {
   // the barrier being completed
   const std::uint64_t k = completions_.at(m).load(std::memory_order_relaxed) + 1;
-  for (std::size_t j = 0; j < arrivals_.size(); ++j) {
-    const std::uint64_t a = arrivals_[j].load(std::memory_order_relaxed);
-    NICBAR_CHECK(a >= k, "coll.barrier-safety", when,
-                 "member %zu observed completion of barrier %llu before member %zu arrived "
-                 "(arrivals=%llu)",
-                 m, static_cast<unsigned long long>(k), j,
-                 static_cast<unsigned long long>(a));
+  if (k > watermark_.load(std::memory_order_relaxed)) {
+    std::uint64_t low = UINT64_MAX;
+    for (std::size_t j = 0; j < arrivals_.size(); ++j) {
+      const std::uint64_t a = arrivals_[j].load(std::memory_order_relaxed);
+      NICBAR_CHECK(a >= k, "coll.barrier-safety", when,
+                   "member %zu observed completion of barrier %llu before member %zu arrived "
+                   "(arrivals=%llu)",
+                   m, static_cast<unsigned long long>(k), j,
+                   static_cast<unsigned long long>(a));
+      if (a < low) low = a;
+    }
+    raise_to(watermark_, low);
   }
   completions_[m].store(k, std::memory_order_relaxed);
-  std::uint64_t cur = barriers_checked_.load(std::memory_order_relaxed);
-  while (k > cur &&
-         !barriers_checked_.compare_exchange_weak(cur, k, std::memory_order_relaxed)) {
-  }
+  raise_to(barriers_checked_, k);
 }
 
 }  // namespace nicbar::sim::check

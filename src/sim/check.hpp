@@ -55,9 +55,15 @@ class InvariantViolation : public std::logic_error {
   SimTime when_;
 };
 
+namespace detail {
+/// Per-thread check switch. Read inline by every NICBAR_CHECK, so a check
+/// that passes costs one thread-local load and a branch, not a call.
+inline thread_local bool g_enabled = true;
+}  // namespace detail
+
 /// Whether checks are active on this thread (default: true).
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+[[nodiscard]] inline bool enabled() { return detail::g_enabled; }
+inline void set_enabled(bool on) { detail::g_enabled = on; }
 
 /// RAII suppression, for tests that deliberately build broken states.
 class Disabled {
@@ -108,6 +114,14 @@ namespace nicbar::sim::check {
 /// arrived at barrier k — and, by counting, that completions per member are
 /// monotone (no duplicated or skipped epochs at host level).
 ///
+/// Cost: O(1) amortised per completion. The monitor keeps a watermark, a
+/// lower bound on every member's arrival count. A completion of barrier
+/// k <= watermark is already proven safe (arrivals only grow) and returns
+/// at once; otherwise the full scan runs, throws exactly as it always did,
+/// and on passing raises the watermark to the smallest count it saw. In a
+/// legal run the first completion of each barrier scans and the other N-1
+/// do not, so a barrier costs one O(N) scan instead of N.
+///
 /// Feeding complete() without the corresponding arrive()s is the test hook
 /// for verifying violation reporting end to end.
 class BarrierSafetyMonitor {
@@ -140,9 +154,12 @@ class BarrierSafetyMonitor {
   // it checks (the barrier packets carried the dependency), and any
   // cross-lane dependency passes a window barrier whose fork/join edges
   // publish the arrival counts before the completing lane runs.
+  // The watermark is sound under the same argument: it only ever holds a
+  // minimum some scan observed, and arrival counts never decrease.
   std::vector<std::atomic<std::uint64_t>> arrivals_;
   std::vector<std::atomic<std::uint64_t>> completions_;
   std::atomic<std::uint64_t> barriers_checked_{0};
+  std::atomic<std::uint64_t> watermark_{0};
 };
 
 }  // namespace nicbar::sim::check

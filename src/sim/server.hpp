@@ -15,12 +15,12 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 
 #include "sim/check.hpp"
 #include "sim/simulator.hpp"
+#include "sim/small_fn.hpp"
 #include "sim/time.hpp"
 
 namespace nicbar::sim {
@@ -32,7 +32,7 @@ class BusyServer {
 
   /// Enqueues a job occupying the server for `service` time; `on_done` (may
   /// be null) runs when the job completes. Returns the completion time.
-  SimTime submit(Duration service, std::function<void()> on_done = nullptr) {
+  SimTime submit(Duration service, SmallFn on_done = nullptr) {
     const SimTime now = sim_->now();
     NICBAR_CHECK(!service.is_negative(), "sim.server", now,
                  "server '%s': negative service time %lld ps", name_.c_str(),
@@ -53,6 +53,12 @@ class BusyServer {
     ++jobs_;
     if (on_done) sim_->schedule_at(free_at_, std::move(on_done));
     return free_at_;
+  }
+
+  /// The completion time submit(service) would return if called now.
+  [[nodiscard]] SimTime completion_if_submitted(Duration service) const {
+    const SimTime now = sim_->now();
+    return (free_at_ > now ? free_at_ : now) + service;
   }
 
   /// Re-points the server at another Simulator (PDES partitioning: fabric
@@ -95,7 +101,7 @@ class CycleServer {
       : server_(sim, std::move(name)), clock_mhz_(clock_mhz) {}
 
   /// Enqueues a firmware job costing `cycles` processor cycles.
-  SimTime submit_cycles(std::int64_t cycles, std::function<void()> on_done = nullptr) {
+  SimTime submit_cycles(std::int64_t cycles, SmallFn on_done = nullptr) {
     return server_.submit(cycles_at_mhz(cycles, clock_mhz_), std::move(on_done));
   }
 

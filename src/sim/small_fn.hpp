@@ -22,6 +22,7 @@ class SmallFn {
   static constexpr std::size_t kInlineBytes = 48;
 
   SmallFn() noexcept = default;
+  SmallFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor): "no callback"
 
   template <typename F,
             typename = std::enable_if_t<!std::is_same_v<std::decay_t<F>, SmallFn> &&

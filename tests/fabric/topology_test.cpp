@@ -210,7 +210,7 @@ TEST(FabricRouteTest, AllPairsDeliverableOnThreeLevelFatTree) {
   const auto n = static_cast<NodeId>(net.terminal_count());
   std::vector<std::vector<int>> got(n, std::vector<int>(n, 0));
   for (NodeId t = 0; t < n; ++t) {
-    net.set_deliver(t, [&, t](net::Packet p) { ++got[p.src_node][t]; });
+    net.set_deliver(t, [&, t](net::PacketPtr p) { ++got[p->src_node][t]; });
   }
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
@@ -219,7 +219,7 @@ TEST(FabricRouteTest, AllPairsDeliverableOnThreeLevelFatTree) {
       p.src_node = a;
       p.dst_node = b;
       p.payload_bytes = 4;
-      net.inject(std::move(p));
+      net.inject(net::make_packet(p));
     }
   }
   sim.run();
@@ -239,7 +239,7 @@ TEST(FabricRouteTest, AllPairsDeliverableOnLeafSpine) {
   const auto n = static_cast<NodeId>(net.terminal_count());
   std::vector<std::vector<int>> got(n, std::vector<int>(n, 0));
   for (NodeId t = 0; t < n; ++t) {
-    net.set_deliver(t, [&, t](net::Packet p) { ++got[p.src_node][t]; });
+    net.set_deliver(t, [&, t](net::PacketPtr p) { ++got[p->src_node][t]; });
   }
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
@@ -248,7 +248,7 @@ TEST(FabricRouteTest, AllPairsDeliverableOnLeafSpine) {
       p.src_node = a;
       p.dst_node = b;
       p.payload_bytes = 4;
-      net.inject(std::move(p));
+      net.inject(net::make_packet(p));
     }
   }
   sim.run();

@@ -13,6 +13,7 @@ namespace {
 
 using net::NodeId;
 using net::Packet;
+using net::PacketPtr;
 using sim::SimTime;
 using sim::Simulator;
 
@@ -28,13 +29,13 @@ TEST(ContentionTest, ManyToOneSerializesOnDownlink) {
   net::build_single_switch(net, 9);
 
   std::vector<SimTime> arrivals;
-  net.set_deliver(8, [&](Packet) { arrivals.push_back(sim.now()); });
+  net.set_deliver(8, [&](PacketPtr) { arrivals.push_back(sim.now()); });
   for (NodeId i = 0; i < 8; ++i) {
     Packet p;
     p.src_node = i;
     p.dst_node = 8;
     p.payload_bytes = 1600;  // 10us of wire each
-    net.inject(std::move(p));
+    net.inject(net::make_packet(p));
   }
   sim.run();
   ASSERT_EQ(arrivals.size(), 8u);
@@ -52,7 +53,7 @@ TEST(ContentionTest, DisjointPairsDoNotInterfere) {
   net::build_single_switch(net, 8);
   std::vector<SimTime> arrivals(8);
   for (NodeId i = 4; i < 8; ++i) {
-    net.set_deliver(i, [&, i](Packet) { arrivals[i] = sim.now(); });
+    net.set_deliver(i, [&, i](PacketPtr) { arrivals[i] = sim.now(); });
   }
   // 0->4, 1->5, 2->6, 3->7 simultaneously: a crossbar carries all four at
   // full rate; every arrival lands at the same instant.
@@ -61,7 +62,7 @@ TEST(ContentionTest, DisjointPairsDoNotInterfere) {
     p.src_node = i;
     p.dst_node = static_cast<NodeId>(i + 4);
     p.payload_bytes = 1024;
-    net.inject(std::move(p));
+    net.inject(net::make_packet(p));
   }
   sim.run();
   for (NodeId i = 5; i < 8; ++i) EXPECT_EQ(arrivals[i].ps(), arrivals[4].ps());
@@ -79,7 +80,7 @@ TEST(ContentionTest, ChainTrunkIsSharedBottleneck) {
 
   std::vector<SimTime> arrivals;
   for (NodeId d = 4; d < 8; ++d) {
-    net.set_deliver(d, [&](Packet) { arrivals.push_back(sim.now()); });
+    net.set_deliver(d, [&](PacketPtr) { arrivals.push_back(sim.now()); });
   }
   // All four left-side nodes send across the trunk to distinct right-side
   // nodes: despite distinct destinations, the trunk serializes them.
@@ -88,7 +89,7 @@ TEST(ContentionTest, ChainTrunkIsSharedBottleneck) {
     p.src_node = i;
     p.dst_node = static_cast<NodeId>(i + 4);
     p.payload_bytes = 1600;
-    net.inject(std::move(p));
+    net.inject(net::make_packet(p));
   }
   sim.run();
   ASSERT_EQ(arrivals.size(), 4u);

@@ -11,13 +11,13 @@ using namespace nicbar::sim::literals;
 using sim::SimTime;
 using sim::Simulator;
 
-Packet small_packet(std::int64_t payload = 8) {
+PacketPtr small_packet(std::int64_t payload = 8) {
   Packet p;
   p.type = PacketType::kData;
   p.src_node = 0;
   p.dst_node = 1;
   p.payload_bytes = payload;
-  return p;
+  return make_packet(p);
 }
 
 TEST(LinkTest, DeliversAfterWireAndPropagation) {
@@ -28,10 +28,9 @@ TEST(LinkTest, DeliversAfterWireAndPropagation) {
   lp.header_bytes = 16;
   Link link(sim, lp, "l");
   std::vector<SimTime> arrivals;
-  link.set_deliver([&](Packet) { arrivals.push_back(sim.now()); });
+  link.set_deliver([&](PacketPtr) { arrivals.push_back(sim.now()); });
 
-  Packet p = small_packet(8);  // wire bytes: 16 + 0 route + 8 = 24
-  link.transmit(std::move(p));
+  link.transmit(small_packet(8));  // wire bytes: 16 + 0 route + 8 = 24
   sim.run();
   ASSERT_EQ(arrivals.size(), 1u);
   // 24B @160MB/s = 150ns, +100ns propagation = 250ns.
@@ -46,7 +45,7 @@ TEST(LinkTest, BackToBackPacketsSerialize) {
   lp.header_bytes = 0;
   Link link(sim, lp, "l");
   std::vector<SimTime> arrivals;
-  link.set_deliver([&](Packet) { arrivals.push_back(sim.now()); });
+  link.set_deliver([&](PacketPtr) { arrivals.push_back(sim.now()); });
 
   link.transmit(small_packet(160));  // 1us of wire each
   link.transmit(small_packet(160));
@@ -65,16 +64,17 @@ TEST(LinkTest, RouteBytesCountOnTheWire) {
   lp.propagation = sim::Duration{0};
   lp.header_bytes = 16;
   Link link(sim, lp, "l");
-  Packet p = small_packet(0);
-  p.route = {1, 2, 3};  // 3 route bytes
-  EXPECT_EQ(link.wire_time(p).ps(), sim::transfer_time(19, 160.0).ps());
+  static constexpr std::uint8_t kRoute[] = {1, 2, 3};  // 3 route bytes
+  PacketPtr p = small_packet(0);
+  p->route = kRoute;
+  EXPECT_EQ(link.wire_time(*p).ps(), sim::transfer_time(19, 160.0).ps());
 }
 
 TEST(LinkTest, DropProbabilityOneKillsEverything) {
   Simulator sim;
   Link link(sim, LinkParams{}, "l");
   int delivered = 0;
-  link.set_deliver([&](Packet) { ++delivered; });
+  link.set_deliver([&](PacketPtr) { ++delivered; });
   link.set_drop_probability(1.0, 7);
   for (int i = 0; i < 10; ++i) link.transmit(small_packet());
   sim.run();
@@ -87,13 +87,12 @@ TEST(LinkTest, DropPredicateSelective) {
   Simulator sim;
   Link link(sim, LinkParams{}, "l");
   std::vector<PacketType> delivered;
-  link.set_deliver([&](Packet p) { delivered.push_back(p.type); });
+  link.set_deliver([&](PacketPtr p) { delivered.push_back(p->type); });
   link.set_drop_predicate([](const Packet& p) { return p.type == PacketType::kAck; });
 
-  Packet data = small_packet();
-  Packet ack = small_packet();
-  ack.type = PacketType::kAck;
-  link.transmit(std::move(data));
+  PacketPtr ack = small_packet();
+  ack->type = PacketType::kAck;
+  link.transmit(small_packet());
   link.transmit(std::move(ack));
   sim.run();
   ASSERT_EQ(delivered.size(), 1u);
@@ -109,11 +108,11 @@ TEST(LinkTest, DroppedPacketStillBurnsWireTime) {
   lp.header_bytes = 0;
   Link link(sim, lp, "l");
   std::vector<SimTime> arrivals;
-  link.set_deliver([&](Packet) { arrivals.push_back(sim.now()); });
+  link.set_deliver([&](PacketPtr) { arrivals.push_back(sim.now()); });
   link.set_drop_predicate([](const Packet& p) { return p.tag == 1; });
 
-  Packet doomed = small_packet(160);
-  doomed.tag = 1;
+  PacketPtr doomed = small_packet(160);
+  doomed->tag = 1;
   link.transmit(std::move(doomed));     // burns 1us
   link.transmit(small_packet(160));     // queues behind it
   sim.run();

@@ -13,12 +13,12 @@ using namespace nicbar::sim::literals;
 using sim::SimTime;
 using sim::Simulator;
 
-Packet packet_between(NodeId src, NodeId dst, std::int64_t payload = 8) {
+PacketPtr packet_between(NodeId src, NodeId dst, std::int64_t payload = 8) {
   Packet p;
   p.src_node = src;
   p.dst_node = dst;
   p.payload_bytes = payload;
-  return p;
+  return make_packet(p);
 }
 
 TEST(NetworkTest, SingleSwitchDelivery) {
@@ -28,13 +28,16 @@ TEST(NetworkTest, SingleSwitchDelivery) {
   ASSERT_EQ(net.terminal_count(), 4u);
   ASSERT_EQ(net.switch_count(), 1u);
 
-  std::vector<Packet> got;
-  net.set_deliver(2, [&](Packet p) { got.push_back(std::move(p)); });
+  std::vector<PacketPtr> got;
+  net.set_deliver(2, [&](PacketPtr p) { got.push_back(std::move(p)); });
   net.inject(packet_between(0, 2));
   sim.run();
   ASSERT_EQ(got.size(), 1u);
-  EXPECT_EQ(got[0].src_node, 0);
-  EXPECT_EQ(got[0].dst_node, 2);
+  EXPECT_EQ(got[0]->src_node, 0);
+  EXPECT_EQ(got[0]->dst_node, 2);
+  // The packet views the fabric's route bytes instead of owning a copy.
+  EXPECT_EQ(got[0]->route.data(), net.route(0, 2).data());
+  EXPECT_EQ(got[0]->hop, 1u);
 }
 
 TEST(NetworkTest, RouteOnSingleSwitchIsOneHop) {
@@ -62,7 +65,7 @@ TEST(NetworkTest, LatencyMatchesModel) {
   build_single_switch(net, 2);
 
   SimTime arrived{};
-  net.set_deliver(1, [&](Packet) { arrived = sim.now(); });
+  net.set_deliver(1, [&](PacketPtr) { arrived = sim.now(); });
   net.inject(packet_between(0, 1, 8));
   sim.run();
   // Uplink wire: (16 hdr + 1 route + 8 payload)=25B @160MB/s = 156.25ns,
@@ -78,7 +81,7 @@ TEST(NetworkTest, AllPairsDeliverOnSingleSwitch16) {
   build_single_switch(net, 16);
   int delivered = 0;
   for (NodeId t = 0; t < 16; ++t) {
-    net.set_deliver(t, [&](Packet) { ++delivered; });
+    net.set_deliver(t, [&](PacketPtr) { ++delivered; });
   }
   int sent = 0;
   for (NodeId a = 0; a < 16; ++a) {
@@ -104,7 +107,7 @@ TEST(NetworkTest, OutputContentionSerializesFlows) {
   build_single_switch(net, 3);
 
   std::vector<SimTime> arrivals;
-  net.set_deliver(2, [&](Packet) { arrivals.push_back(sim.now()); });
+  net.set_deliver(2, [&](PacketPtr) { arrivals.push_back(sim.now()); });
   // Two senders to the same destination; 160B payload = 1us+route byte time each.
   net.inject(packet_between(0, 2, 160));
   net.inject(packet_between(1, 2, 160));
@@ -121,7 +124,7 @@ TEST(NetworkTest, PacketIdsAreUnique) {
   Network net(sim);
   build_single_switch(net, 2);
   std::vector<std::uint64_t> ids;
-  net.set_deliver(1, [&](Packet p) { ids.push_back(p.id); });
+  net.set_deliver(1, [&](PacketPtr p) { ids.push_back(p->id); });
   for (int i = 0; i < 5; ++i) net.inject(packet_between(0, 1));
   sim.run();
   ASSERT_EQ(ids.size(), 5u);
@@ -139,9 +142,10 @@ TEST(NetworkTest, MisroutedPacketIsCounted) {
   net.connect_terminal(t1, sw, 1);
   net.finalize();
 
-  // Inject with a corrupted route (empty) directly through the uplink.
-  Packet p = packet_between(t0, t1);
-  p.route = {};  // no route bytes: switch must drop it
+  // Inject with a corrupted route (empty) directly through the uplink: the
+  // packet never passes inject(), so its route view stays empty.
+  PacketPtr p = packet_between(t0, t1);
+  ASSERT_TRUE(p->route.empty());  // no route bytes: switch must drop it
   net.uplink(t0).transmit(std::move(p));
   sim.run();
   EXPECT_EQ(net.switch_at(sw).packets_misrouted(), 1u);

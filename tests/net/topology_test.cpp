@@ -15,7 +15,7 @@ void expect_all_pairs_reachable(Simulator& sim, Network& net) {
   const auto n = static_cast<NodeId>(net.terminal_count());
   std::vector<std::vector<int>> got(n, std::vector<int>(n, 0));
   for (NodeId t = 0; t < n; ++t) {
-    net.set_deliver(t, [&, t](Packet p) { ++got[p.src_node][t]; });
+    net.set_deliver(t, [&, t](PacketPtr p) { ++got[p->src_node][t]; });
   }
   for (NodeId a = 0; a < n; ++a) {
     for (NodeId b = 0; b < n; ++b) {
@@ -24,7 +24,7 @@ void expect_all_pairs_reachable(Simulator& sim, Network& net) {
       p.src_node = a;
       p.dst_node = b;
       p.payload_bytes = 4;
-      net.inject(std::move(p));
+      net.inject(make_packet(p));
     }
   }
   sim.run();
@@ -78,13 +78,13 @@ TEST(TopologyTest, SwitchTreeLarge) {
   EXPECT_EQ(net.terminal_count(), 128u);
   // Spot-check reachability on a few pairs (all-pairs is O(n^2) packets).
   int delivered = 0;
-  for (NodeId t = 0; t < 128; ++t) net.set_deliver(t, [&](Packet) { ++delivered; });
+  for (NodeId t = 0; t < 128; ++t) net.set_deliver(t, [&](PacketPtr) { ++delivered; });
   const NodeId pairs[][2] = {{0, 127}, {0, 1}, {63, 64}, {127, 0}, {17, 91}};
   for (auto& pr : pairs) {
     Packet p;
     p.src_node = pr[0];
     p.dst_node = pr[1];
-    net.inject(std::move(p));
+    net.inject(make_packet(p));
   }
   sim.run();
   EXPECT_EQ(delivered, 5);
