@@ -1,9 +1,8 @@
-// Experiment driver: the paper's measurement loop.
-//
-// Builds a cluster, opens one GM port per node, spawns one process per node,
-// and runs `reps` consecutive barriers (the paper ran 100 000 and averaged;
-// our simulator is deterministic so a few hundred repetitions give the same
-// mean). Reports the mean per-barrier latency in simulated microseconds plus
+// The paper's measurement loop: every node runs `reps` consecutive barriers
+// (the paper ran 100 000 and averaged; the simulator is deterministic, so a
+// few hundred give the same mean). run_barrier_experiment is a one-job run of
+// wl::Driver's member loop (wl/driver.hpp) and builds into nicbar_wl. It
+// reports the mean per-barrier latency in simulated microseconds plus
 // aggregate NIC counters.
 #pragma once
 

@@ -25,39 +25,26 @@ struct RunOutput {
   std::string metrics_json;  // empty unless instrumented
 };
 
-std::string serialise_metrics(const std::string& label,
-                              const sim::telemetry::Telemetry& telemetry) {
-  std::ostringstream os;
-  os << "{\"bench\": \"" << sim::telemetry::json_escape(label) << "\", \"metrics\": ";
-  telemetry.metrics().write_json(os);
-  os << "}";
-  return os.str();
-}
-
 RunOutput execute(const SweepCase& c, std::size_t dim, bool instrumented) {
-  RunOutput out;
-  if (!instrumented) {
-    if (c.custom) {
-      out.result = c.custom(nullptr);
-    } else {
-      ExperimentParams p = c.params;
-      if (dim != 0) p.spec.gb_dimension = dim;
-      out.result = run_barrier_experiment(p);
-    }
-    return out;
-  }
   // Telemetry hooks are untaken branches on the simulated timeline, so an
   // instrumented run reports exactly the numbers an uninstrumented one would.
   sim::telemetry::Telemetry telemetry;
+  RunOutput out;
   if (c.custom) {
-    out.result = c.custom(&telemetry);
+    out.result = c.custom(instrumented ? &telemetry : nullptr);
   } else {
     ExperimentParams p = c.params;
     if (dim != 0) p.spec.gb_dimension = dim;
-    p.cluster.telemetry = &telemetry;
+    if (instrumented) p.cluster.telemetry = &telemetry;
     out.result = run_barrier_experiment(p);
   }
-  out.metrics_json = serialise_metrics(c.label, telemetry);
+  if (instrumented) {
+    std::ostringstream os;
+    os << "{\"bench\": \"" << sim::telemetry::json_escape(c.label) << "\", \"metrics\": ";
+    telemetry.metrics().write_json(os);
+    os << "}";
+    out.metrics_json = os.str();
+  }
   return out;
 }
 

@@ -311,6 +311,14 @@ void Cluster::snapshot_metrics() {
     m.counter(pfx + "port_down_drops") = s.packets_dropped_port_down();
   }
   m.counter("net.packets_injected") = net_->packets_injected();
+  if (pdes_ != nullptr) {
+    const sim::pdes::WindowStats& w = pdes_->stats();
+    m.counter("pdes.partitions") = pdes_->partitions();
+    m.counter("pdes.windows") = w.windows;
+    m.counter("pdes.events") = w.events;
+    m.counter("pdes.channel_messages") = w.channel_messages;
+    m.counter("pdes.max_drain_batch") = w.max_drain_batch;
+  }
 }
 
 std::unique_ptr<gm::Port> Cluster::make_port(net::NodeId node_id, nic::PortId port) {

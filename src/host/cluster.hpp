@@ -130,8 +130,9 @@ class Cluster {
 
   /// Copies the cluster's hardware counters into the attached telemetry
   /// registry: per-NIC reliability/barrier counters, per-engine processor
-  /// occupancy, PCI-bus and link utilisation, switch forwarding totals.
-  /// No-op when no telemetry bundle is attached. Call after sim().run().
+  /// occupancy, PCI-bus and link utilisation, switch forwarding totals, and
+  /// (partitioned clusters only) the pdes.* window statistics. No-op when no
+  /// telemetry bundle is attached. Call after run_all().
   void snapshot_metrics();
 
  private:

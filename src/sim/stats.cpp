@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <stdexcept>
 
 namespace nicbar::sim {
 
@@ -22,6 +23,14 @@ void Histogram::add(double x) {
   }
   ++counts_[idx];
   ++total_;
+}
+
+void Histogram::merge(const Histogram& other) {
+  if (other.lo_ != lo_ || other.hi_ != hi_ || other.counts_.size() != counts_.size()) {
+    throw std::invalid_argument("Histogram::merge: range or bin count differs");
+  }
+  for (std::size_t i = 0; i < counts_.size(); ++i) counts_[i] += other.counts_[i];
+  total_ += other.total_;
 }
 
 double Histogram::percentile(double p) const {

@@ -69,6 +69,8 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t bins);
 
   void add(double x);
+  /// Adds `other`'s bin counts; both must have the same range and bins.
+  void merge(const Histogram& other);
   [[nodiscard]] std::uint64_t count() const { return total_; }
 
   /// Percentile estimate for p in [0, 100], linearly interpolated within the

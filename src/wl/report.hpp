@@ -1,5 +1,5 @@
 // Workload results: per-job and per-collective tail latency, plus fabric
-// and NIC occupancy pulled from Cluster::snapshot_metrics. A Report is pure
+// and NIC occupancy read straight from the cluster's stats. A Report is pure
 // data derived from the simulated timeline — two runs of the same spec
 // produce byte-identical write_json output, which is what the determinism
 // tests and the BENCH_workload.json trajectory diff against.
@@ -34,9 +34,9 @@ struct JobReport {
   double arrival_us = 0.0; // when the job's processes were released
   double start_us = 0.0;   // last process entered the measurement loop
   double end_us = 0.0;     // last process finished
-  /// (end_us - start_us) / iterations — the exact statistic
-  /// coll::run_barrier_experiment reports, so a single-job barrier-only
-  /// workload reproduces the Fig. 5 numbers bit-for-bit.
+  /// (end_us - start_us) / iterations — the statistic
+  /// coll::run_barrier_experiment reports (it is a one-job run of the same
+  /// member loop), so a single-job barrier-only workload reproduces Fig. 5.
   double experiment_mean_us = 0.0;
   /// Per-collective latency as observed by every process (N samples per
   /// collective: stragglers show up in the tail).
@@ -60,7 +60,7 @@ struct Report {
   double makespan_us = 0.0;  // simulated time when the last job finished
   std::uint64_t total_failures = 0;
 
-  // Fabric / NIC occupancy (from snapshot_metrics over the whole run):
+  // Fabric / NIC occupancy over the whole run (means over links, NICs, buses):
   double mean_link_utilisation = 0.0;
   double max_link_utilisation = 0.0;
   double mean_nic_occupancy = 0.0;  // LANai processor busy fraction
@@ -73,7 +73,7 @@ struct Report {
   std::uint64_t link_packets_dropped = 0;
 
   // Barrier-group lifecycle (managed classes; from the jobs and the NIC
-  // slot tables via snapshot_metrics):
+  // slot tables):
   std::uint64_t groups_created = 0;
   std::uint64_t groups_destroyed = 0;
   std::uint64_t degraded_collectives = 0;

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <map>
 #include <sstream>
 #include <string>
@@ -85,6 +86,11 @@ Observed run_case(const CaseSpec& spec, const EngineConfig& engine) {
   o.stalled = r.stalled_members;
   o.counters = tel.metrics().counters();
   o.gauges = tel.metrics().gauges();
+  // The pdes.* counters describe the partitioned engine, not the model, and
+  // exist only on partitioned runs: compare the model's counters.
+  for (auto it = o.counters.begin(); it != o.counters.end();) {
+    it = it->first.rfind("pdes.", 0) == 0 ? o.counters.erase(it) : std::next(it);
+  }
 
   if (spec.causal) {
     sim::causal::CausalTracer* tracer = tel.causal();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 namespace nicbar::sim {
 namespace {
@@ -181,6 +182,20 @@ TEST(HistogramTest, AsciiRendering) {
   h.add(3.0);
   const std::string art = h.ascii(20);
   EXPECT_NE(art.find('#'), std::string::npos);
+}
+
+TEST(HistogramTest, MergeAddsBinCountsExactly) {
+  Histogram all(0.0, 10.0, 10), a(0.0, 10.0, 10), b(0.0, 10.0, 10);
+  for (int i = 0; i < 40; ++i) {
+    const double x = 0.25 * i;
+    all.add(x);
+    (i % 3 == 0 ? a : b).add(x);
+  }
+  a.merge(b);
+  EXPECT_EQ(a.count(), all.count());
+  EXPECT_EQ(a.bins(), all.bins());
+  EXPECT_EQ(a.percentile(95.0), all.percentile(95.0));
+  EXPECT_THROW(a.merge(Histogram(0.0, 10.0, 5)), std::invalid_argument);
 }
 
 }  // namespace

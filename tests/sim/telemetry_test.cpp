@@ -470,6 +470,32 @@ TEST(TelemetryIntegrationTest, CountersAreRegisteredAndMonotonic) {
             *t1.metrics().find_counter("nic0.barrier_pe_rounds"));
 }
 
+TEST(TelemetryIntegrationTest, PdesWindowStatsOnlyOnPartitionedClusters) {
+  // 64 nodes on a radix-16 fat-tree: eight leaves, so four partitions.
+  auto run = [](std::size_t partitions, Telemetry& t) {
+    coll::ExperimentParams p = instrumented_params(t, 3);
+    p.nodes = 64;
+    p.cluster.topology = host::Topology::kFatTree;
+    p.cluster.fabric_radix = 16;
+    p.cluster.pdes_partitions = partitions;
+    p.cluster.pdes_workers = 1;
+    (void)coll::run_barrier_experiment(p);
+  };
+  Telemetry serial, par;
+  run(1, serial);
+  run(4, par);
+  for (const char* name : {"pdes.partitions", "pdes.windows", "pdes.events",
+                           "pdes.channel_messages", "pdes.max_drain_batch"}) {
+    EXPECT_EQ(serial.metrics().find_counter(name), nullptr) << name;
+    ASSERT_NE(par.metrics().find_counter(name), nullptr) << name;
+  }
+  EXPECT_EQ(*par.metrics().find_counter("pdes.partitions"), 4u);
+  EXPECT_GT(*par.metrics().find_counter("pdes.windows"), 0u);
+  EXPECT_GT(*par.metrics().find_counter("pdes.events"), 0u);
+  EXPECT_GT(*par.metrics().find_counter("pdes.channel_messages"), 0u);
+  EXPECT_GT(*par.metrics().find_counter("pdes.max_drain_batch"), 0u);
+}
+
 TEST(TelemetryIntegrationTest, EngineCyclesCoverProcessorBusyTime) {
   Telemetry t;
   (void)coll::run_barrier_experiment(instrumented_params(t, 5));

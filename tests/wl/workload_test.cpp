@@ -253,10 +253,11 @@ TEST(PlacementTest, OverlappingNeverNeedsMoreNodesThanTheCluster) {
 
 // --- Fig. 5 bit-identical reproduction ---------------------------------------
 
-/// A single-job, barrier-only, no-jitter workload must run the exact member
-/// loop of coll::run_barrier_experiment: same awaited operations, same
-/// simulated timeline, bit-identical mean. This is the acceptance criterion
-/// tying wl:: to the paper's Fig. 5 experiments.
+/// run_barrier_experiment is a one-job run of the Driver's member loop, so a
+/// single-job, barrier-only, no-jitter workload must map its JobClass onto
+/// the same job description the runner builds: same node set, ports and
+/// BarrierSpec, hence the same simulated timeline and a bit-identical mean.
+/// This ties wl:: to the paper's Fig. 5 experiments.
 void expect_fig5_identical(const nic::NicConfig& nic_cfg, std::size_t nodes) {
   coll::ExperimentParams p;
   p.nodes = nodes;
@@ -442,6 +443,89 @@ TEST(WorkloadDriverTest, MixedClassesIssueEveryRequestedKind) {
     return per_member;
   }());
   EXPECT_EQ(scheduled, 2u * 15u + 2u * 10u + 10u);
+}
+
+// --- Simulator lanes ----------------------------------------------------------
+
+/// Barrier-only tenants strided across a 64-node fat-tree, so every job has
+/// members on several of the four lanes.
+WorkloadSpec lane_spec(std::size_t partitions, unsigned workers) {
+  WorkloadSpec s = parse_workload_spec(R"(
+    cluster-nodes 64
+    topology fat-tree 16 1
+    placement strided
+    arrival fixed 40
+    seed 3
+    hist-max-us 2000
+    job tenant
+      count 4
+      nodes 16
+      iters 12
+      compute-us 20
+      imbalance 0.3
+      skew-us 15
+  )");
+  s.cluster.pdes_partitions = partitions;
+  s.cluster.pdes_workers = workers;
+  return s;
+}
+
+void expect_same_tail(const TailStats& a, const TailStats& b, const std::string& what) {
+  EXPECT_EQ(a.count, b.count) << what;
+  EXPECT_EQ(a.max_us, b.max_us) << what;
+  EXPECT_EQ(a.p50_us, b.p50_us) << what;
+  EXPECT_EQ(a.p95_us, b.p95_us) << what;
+  EXPECT_EQ(a.p99_us, b.p99_us) << what;
+}
+
+TEST(WorkloadLaneTest, PartitionedRunMatchesSerial) {
+  // Each lane folds its own latency collectors, so the count, max and
+  // percentiles are exact at any lane count; only the streaming mean may
+  // differ in the last bits (the fold order changes its rounding).
+  const Report serial = run_workload(lane_spec(1, 1));
+  ASSERT_EQ(serial.jobs.size(), 4u);
+  EXPECT_EQ(serial.total_failures, 0u);
+  for (const unsigned workers : {1u, 4u}) {
+    const std::string what = "4 partitions, " + std::to_string(workers) + " workers";
+    const Report par = run_workload(lane_spec(4, workers));
+    ASSERT_EQ(par.jobs.size(), serial.jobs.size()) << what;
+    for (std::size_t j = 0; j < serial.jobs.size(); ++j) {
+      const JobReport& a = serial.jobs[j];
+      const JobReport& b = par.jobs[j];
+      EXPECT_EQ(a.arrival_us, b.arrival_us) << what;
+      EXPECT_EQ(a.start_us, b.start_us) << what << " job " << j;
+      EXPECT_EQ(a.end_us, b.end_us) << what << " job " << j;
+      EXPECT_EQ(a.experiment_mean_us, b.experiment_mean_us) << what << " job " << j;
+      EXPECT_EQ(a.failures, b.failures) << what << " job " << j;
+      expect_same_tail(a.latency, b.latency, what + " job " + std::to_string(j));
+    }
+    expect_same_tail(serial.overall, par.overall, what + " overall");
+    for (std::size_t k = 0; k < kCollectiveKindCount; ++k) {
+      expect_same_tail(serial.per_kind[k], par.per_kind[k], what + " kind");
+    }
+    EXPECT_EQ(serial.makespan_us, par.makespan_us) << what;
+    EXPECT_EQ(serial.total_failures, par.total_failures) << what;
+    EXPECT_EQ(serial.link_stalls, par.link_stalls) << what;
+    EXPECT_EQ(serial.barriers_completed, par.barriers_completed) << what;
+    EXPECT_EQ(serial.reduces_completed, par.reduces_completed) << what;
+    EXPECT_EQ(serial.retransmissions, par.retransmissions) << what;
+    EXPECT_EQ(serial.link_packets_dropped, par.link_packets_dropped) << what;
+    EXPECT_EQ(serial.slot_allocations, par.slot_allocations) << what;
+    EXPECT_EQ(serial.slot_rejections, par.slot_rejections) << what;
+    EXPECT_EQ(serial.slot_frees, par.slot_frees) << what;
+    EXPECT_EQ(serial.slot_high_water, par.slot_high_water) << what;
+    EXPECT_EQ(serial.stale_group_fenced, par.stale_group_fenced) << what;
+  }
+}
+
+TEST(WorkloadLaneTest, ClosedLoopArrivalRefusesAPartitionedCluster) {
+  // A finishing job opens the next job's gate, which may sit on another lane.
+  WorkloadSpec s = lane_spec(4, 1);
+  s.arrival.kind = ArrivalKind::kClosedLoop;
+  s.arrival.width = 2;
+  EXPECT_THROW((void)run_workload(s), std::invalid_argument);
+  s.cluster.pdes_partitions = 1;
+  EXPECT_EQ(run_workload(s).total_failures, 0u);
 }
 
 // --- Substreams ---------------------------------------------------------------
