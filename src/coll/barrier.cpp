@@ -11,8 +11,9 @@ using nic::BarrierAlgorithm;
 using nic::GmEvent;
 using nic::GmEventType;
 
-BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, BarrierSpec spec)
-    : port_(port), group_(std::move(group)), spec_(spec) {
+BarrierMember::BarrierMember(gm::Port& port, const std::vector<Endpoint>& group,
+                             BarrierSpec spec)
+    : port_(port), group_(group), spec_(spec) {
   bool found = false;
   for (std::size_t i = 0; i < group_.size(); ++i) {
     if (group_[i] == port_.endpoint()) {
@@ -57,8 +58,7 @@ BarrierMember::BarrierMember(gm::Port& port, std::vector<Endpoint> group, Barrie
     hier_block_size_ = hi - lo;
     hier_num_blocks_ = (n + block - 1) / block;
     hier_is_rep_ = my_index_ == lo;
-    const std::vector<Endpoint> mates(group_.begin() + static_cast<std::ptrdiff_t>(lo),
-                                      group_.begin() + static_cast<std::ptrdiff_t>(hi));
+    const std::span<const Endpoint> mates = group_.subspan(lo, hi - lo);
     hier_gb_ = gb_tree(mates, my_index_ - lo, spec_.gb_dimension);
     if (hier_is_rep_) {
       // Multidestination release fan-out: every block mate, directly.

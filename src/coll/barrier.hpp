@@ -16,6 +16,7 @@
 #include <functional>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include <memory>
@@ -96,8 +97,11 @@ struct BarrierSpec {
 class BarrierMember {
  public:
   /// `group` lists every participating endpoint; this member is the entry
-  /// whose endpoint equals port.endpoint().
-  BarrierMember(gm::Port& port, std::vector<Endpoint> group, BarrierSpec spec);
+  /// whose endpoint equals port.endpoint(). The member views the caller's
+  /// roster instead of copying it (DESIGN §16), so `group` must outlive it;
+  /// a temporary roster does not compile.
+  BarrierMember(gm::Port& port, const std::vector<Endpoint>& group, BarrierSpec spec);
+  BarrierMember(gm::Port& port, std::vector<Endpoint>&& group, BarrierSpec spec) = delete;
 
   /// Runs one barrier. Returns kOk on completion; kPeerDead/kDeadline mean
   /// the barrier was aborted cleanly (the NIC token is cancelled, the
@@ -169,7 +173,7 @@ class BarrierMember {
   sim::Task ensure_provisioned();
 
   gm::Port& port_;
-  std::vector<Endpoint> group_;
+  std::span<const Endpoint> group_;  // the caller's roster; read by group_contains
   BarrierSpec spec_;
   std::size_t my_index_ = 0;
   std::vector<Endpoint> pe_peers_;

@@ -53,8 +53,9 @@ const char* to_string(GroupState s) {
   return "?";
 }
 
-GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupConfig config)
-    : port_(port), members_(std::move(members)), config_(config) {
+GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
+                         GroupConfig config)
+    : port_(port), members_(members), config_(config) {
   if (config_.id == 0 || config_.id > kMaxGroupId) {
     throw std::invalid_argument("group id must be non-zero and fit in 47 bits");
   }
@@ -76,7 +77,7 @@ GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupCon
   nic_spec.group = config_.id;
   nic_spec.hierarchical = config_.hierarchical;
   nic_spec.hier_block = config_.hier_block;
-  nic_bm_ = std::make_unique<BarrierMember>(port_, members_, nic_spec);
+  nic_bm_ = std::make_unique<BarrierMember>(port_, members, nic_spec);
 
   BarrierSpec host_spec = nic_spec;
   host_spec.location = Location::kHost;
@@ -84,7 +85,7 @@ GroupMember::GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupCon
   // hierarchical composition only pays off on NIC offload).
   host_spec.hierarchical = false;
   host_spec.hier_block = 0;
-  host_bm_ = std::make_unique<BarrierMember>(port_, members_, host_spec);
+  host_bm_ = std::make_unique<BarrierMember>(port_, members, host_spec);
 
   // Both barrier paths share the port's event stream with the handshakes:
   // control messages drained during a barrier wait are parked here (their

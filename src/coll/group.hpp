@@ -40,6 +40,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "coll/barrier.hpp"
@@ -98,8 +99,11 @@ struct GroupConfig {
 class GroupMember {
  public:
   /// `members` lists every participating endpoint; this member is the entry
-  /// whose endpoint equals port.endpoint(). members[0] coordinates.
-  GroupMember(gm::Port& port, std::vector<Endpoint> members, GroupConfig config);
+  /// whose endpoint equals port.endpoint(). members[0] coordinates. The
+  /// member and its two barrier engines view the caller's roster instead of
+  /// copying it (DESIGN §16), so `members` must outlive the GroupMember.
+  GroupMember(gm::Port& port, const std::vector<Endpoint>& members, GroupConfig config);
+  GroupMember(gm::Port& port, std::vector<Endpoint>&& members, GroupConfig config) = delete;
 
   /// Phase 1+2 group creation. Returns kOk (NIC-offloaded), kOkDegraded
   /// (slot admission rejected somewhere — host fallback), or a failure
@@ -161,7 +165,7 @@ class GroupMember {
   [[nodiscard]] bool group_contains(net::NodeId node) const;
 
   gm::Port& port_;
-  std::vector<Endpoint> members_;
+  std::span<const Endpoint> members_;  // the caller's roster
   GroupConfig config_;
   std::size_t my_index_ = 0;
 

@@ -8,19 +8,19 @@ namespace nicbar::coll {
 using nic::GmEvent;
 using nic::GmEventType;
 
-ReduceMember::ReduceMember(gm::Port& port, std::vector<Endpoint> group, Location location,
+ReduceMember::ReduceMember(gm::Port& port, std::span<const Endpoint> group, Location location,
                            nic::ReduceOp op, std::size_t dimension)
-    : port_(port), group_(std::move(group)), location_(location), op_(op) {
+    : port_(port), location_(location), op_(op) {
   bool found = false;
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (group_[i] == port_.endpoint()) {
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (group[i] == port_.endpoint()) {
       my_index_ = i;
       found = true;
       break;
     }
   }
   if (!found) throw std::invalid_argument("port's endpoint is not in the reduce group");
-  gb_ = gb_tree(group_, my_index_, dimension);
+  gb_ = gb_tree(group, my_index_, dimension);
 }
 
 sim::ValueTask<std::int64_t> ReduceMember::allreduce(std::int64_t contribution) {

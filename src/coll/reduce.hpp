@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "coll/barrier.hpp"
@@ -20,7 +21,9 @@ namespace nicbar::coll {
 
 class ReduceMember {
  public:
-  ReduceMember(gm::Port& port, std::vector<Endpoint> group, Location location,
+  /// `group` is read only here, to find this member and its tree slice; the
+  /// member keeps no roster.
+  ReduceMember(gm::Port& port, std::span<const Endpoint> group, Location location,
                nic::ReduceOp op, std::size_t dimension = 2);
 
   /// Runs one allreduce; every member gets the combined value.
@@ -42,7 +45,6 @@ class ReduceMember {
   sim::Task ensure_provisioned();
 
   gm::Port& port_;
-  std::vector<Endpoint> group_;
   Location location_;
   nic::ReduceOp op_;
   std::size_t my_index_ = 0;

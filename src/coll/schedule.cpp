@@ -15,7 +15,7 @@ std::size_t floor_pow2(std::size_t n) {
 
 }  // namespace
 
-std::vector<Endpoint> pe_schedule(const std::vector<Endpoint>& group, std::size_t me) {
+std::vector<Endpoint> pe_schedule(std::span<const Endpoint> group, std::size_t me) {
   const std::size_t n = group.size();
   if (n == 0) throw std::invalid_argument("empty barrier group");
   if (me >= n) throw std::invalid_argument("member index out of range");
@@ -52,8 +52,7 @@ std::size_t pe_round_count(std::size_t n, std::size_t me) {
   return rounds + (me < extras ? 2 : 0);
 }
 
-GbTreeSlice gb_tree(const std::vector<Endpoint>& group, std::size_t me,
-                    std::size_t dimension) {
+GbTreeSlice gb_tree(std::span<const Endpoint> group, std::size_t me, std::size_t dimension) {
   const std::size_t n = group.size();
   if (n == 0) throw std::invalid_argument("empty barrier group");
   if (me >= n) throw std::invalid_argument("member index out of range");

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "nic/tokens.hpp"
@@ -26,8 +27,7 @@ using nic::Endpoint;
 /// partner exchanges with its extra before and after the power-of-two rounds.
 /// This preserves the invariant that a member's exchange with peer k only
 /// completes after all members have entered the barrier.
-[[nodiscard]] std::vector<Endpoint> pe_schedule(const std::vector<Endpoint>& group,
-                                                std::size_t me);
+[[nodiscard]] std::vector<Endpoint> pe_schedule(std::span<const Endpoint> group, std::size_t me);
 
 /// This member's slice of a `dimension`-ary gather/broadcast tree laid out
 /// heap-style over `group` (member 0 is the root).
@@ -37,7 +37,7 @@ struct GbTreeSlice {
   [[nodiscard]] bool is_root() const { return parent.node == net::kInvalidNode; }
 };
 
-[[nodiscard]] GbTreeSlice gb_tree(const std::vector<Endpoint>& group, std::size_t me,
+[[nodiscard]] GbTreeSlice gb_tree(std::span<const Endpoint> group, std::size_t me,
                                   std::size_t dimension);
 
 /// Number of PE rounds for a group of size n (log2 ceiling + extra folds).

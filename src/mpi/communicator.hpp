@@ -130,7 +130,7 @@ class Communicator {
   void unregister_group(std::uint64_t id);
 
   gm::Port& port_;
-  std::vector<gm::Endpoint> group_;
+  std::vector<gm::Endpoint> group_;  // the roster barrier_ and managed_ view; outlives them
   CommConfig config_;
   int rank_ = -1;
   std::unique_ptr<coll::BarrierMember> barrier_;   // root: anonymous barriers

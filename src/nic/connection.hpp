@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
+#include <utility>
 
 #include "net/packet.hpp"
 #include "nic/tokens.hpp"
@@ -43,11 +45,39 @@ struct SentRecord {
   bool retransmitted = false;     // Karn's rule: ambiguous RTT, never sample
 };
 
+/// The records of one reliability stream awaiting acknowledgment, in send
+/// order. The queue is allocated on the first reliable send: a connection
+/// that only carries unreliable-mode barrier packets holds no storage.
+class SentList {
+ public:
+  using iterator = std::deque<SentRecord>::iterator;
+
+  [[nodiscard]] bool empty() const { return q_ == nullptr || q_->empty(); }
+  /// False until the first push_back (for tests and memory accounting).
+  [[nodiscard]] bool allocated() const { return q_ != nullptr; }
+  [[nodiscard]] SentRecord& front() { return q_->front(); }
+  void push_back(SentRecord rec) {
+    if (q_ == nullptr) q_ = std::make_unique<std::deque<SentRecord>>();
+    q_->push_back(std::move(rec));
+  }
+  void pop_front() { q_->pop_front(); }
+  void clear() {
+    if (q_ != nullptr) q_->clear();
+  }
+  // Value-initialised iterators compare equal, so an unallocated list
+  // iterates as empty.
+  [[nodiscard]] iterator begin() { return q_ == nullptr ? iterator{} : q_->begin(); }
+  [[nodiscard]] iterator end() { return q_ == nullptr ? iterator{} : q_->end(); }
+
+ private:
+  std::unique_ptr<std::deque<SentRecord>> q_;
+};
+
 struct Connection {
   // --- Reliability stream (data + shared-stream barrier packets) -----------
   std::uint32_t next_send_seq = 1;
   std::uint32_t next_expected_seq = 1;
-  std::deque<SentRecord> sent_list;
+  SentList sent_list;
   sim::EventId retransmit_timer;
   int retransmissions = 0;
   bool nack_outstanding = false;  // one NACK per out-of-order episode
@@ -65,7 +95,7 @@ struct Connection {
   // --- Separate barrier-reliability stream (BarrierReliability::kSeparateAcks)
   std::uint32_t next_barrier_send_seq = 1;
   std::uint32_t next_expected_barrier_seq = 1;
-  std::deque<SentRecord> barrier_sent_list;
+  SentList barrier_sent_list;
   sim::EventId barrier_retransmit_timer;
   int barrier_retransmissions = 0;
   bool barrier_nack_outstanding = false;

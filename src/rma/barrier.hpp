@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "coll/status.hpp"
@@ -51,11 +52,15 @@ class HostBarrier {
 
 /// Dissemination barrier: ceil(log2 N) rounds of one rput + one flag wait.
 /// `seg` needs at least rounds_for(members.size()) words; all members must
-/// use the same member order and segment layout.
+/// use the same member order and segment layout. The barrier keeps its
+/// round targets (O(log N)) and views `members` only to tell whether a dead
+/// node belongs to the group, so `members` must outlive it.
 class DisseminationBarrier final : public HostBarrier {
  public:
-  DisseminationBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint> members,
+  DisseminationBarrier(Domain& domain, Segment& seg, std::span<const nic::Endpoint> members,
                        std::size_t rank);
+  DisseminationBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint>&& members,
+                       std::size_t rank) = delete;
 
   [[nodiscard]] sim::ValueTask<coll::Status> run(
       sim::SimTime deadline_at = sim::SimTime::max()) override;
@@ -67,19 +72,24 @@ class DisseminationBarrier final : public HostBarrier {
  private:
   Domain& domain_;
   Segment& seg_;
-  std::vector<nic::Endpoint> members_;
+  std::span<const nic::Endpoint> members_;  // the caller's roster
   std::size_t rank_;
+  std::vector<nic::Endpoint> targets_;  // round r puts into targets_[r]
   std::uint64_t instance_ = 0;
 };
 
 /// Radix-k gather/release tree barrier. `seg` needs radix+1 words: words
 /// [0..radix-1] are the per-child gather slots, word [radix] is the release
 /// flag. Rank 0 is the root; rank i's parent is (i-1)/k, its children are
-/// k*i+1 .. k*i+k.
+/// k*i+1 .. k*i+k. The barrier keeps its parent and children (O(radix))
+/// and views `members` only to tell whether a dead node belongs to the
+/// group, so `members` must outlive it.
 class TreePutBarrier final : public HostBarrier {
  public:
-  TreePutBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint> members,
+  TreePutBarrier(Domain& domain, Segment& seg, std::span<const nic::Endpoint> members,
                  std::size_t rank, std::size_t radix = 2);
+  TreePutBarrier(Domain& domain, Segment& seg, std::vector<nic::Endpoint>&& members,
+                 std::size_t rank, std::size_t radix = 2) = delete;
 
   [[nodiscard]] sim::ValueTask<coll::Status> run(
       sim::SimTime deadline_at = sim::SimTime::max()) override;
@@ -91,9 +101,11 @@ class TreePutBarrier final : public HostBarrier {
  private:
   Domain& domain_;
   Segment& seg_;
-  std::vector<nic::Endpoint> members_;
+  std::span<const nic::Endpoint> members_;  // the caller's roster
   std::size_t rank_;
   std::size_t radix_;
+  nic::Endpoint parent_;                 // node == net::kInvalidNode at the root
+  std::vector<nic::Endpoint> children_;  // child j writes gather slot j
   std::uint64_t instance_ = 0;
 };
 

@@ -34,7 +34,7 @@ namespace nicbar::wl {
 /// One job as the member loop runs it. Driver builds one per JobClass
 /// instance; coll::run_barrier_experiment builds one from its params.
 struct JobPlan {
-  std::vector<nic::Endpoint> members;        // member i's node and GM port
+  std::vector<nic::Endpoint> members;        // member i's node and GM port; the roster members view
   coll::BarrierSpec barrier;                 // the barrier every member runs
   int iterations = 0;
   std::vector<sim::Duration> start_offsets;  // per member, awaited after arrival
