@@ -13,16 +13,14 @@ using nic::GmEventType;
 
 BarrierMember::BarrierMember(gm::Port& port, const std::vector<Endpoint>& group,
                              BarrierSpec spec)
-    : port_(port), group_(group), spec_(spec) {
-  bool found = false;
-  for (std::size_t i = 0; i < group_.size(); ++i) {
-    if (group_[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the barrier group");
+    : BarrierMember(port, group, find_member(group, port.endpoint(), "barrier group"), spec) {}
+
+BarrierMember::BarrierMember(gm::Port& port, const std::vector<Endpoint>& group,
+                             std::size_t my_index, BarrierSpec spec)
+    : port_(port),
+      group_(group),
+      spec_(spec),
+      my_index_(check_member(group, my_index, port.endpoint(), "barrier group")) {
   if (spec_.rdma != RdmaAlgorithm::kNone) {
     if (spec_.group != 0) {
       throw std::invalid_argument("host-RDMA barriers cannot join a managed group");

@@ -55,19 +55,17 @@ const char* to_string(GroupState s) {
 
 GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
                          GroupConfig config)
-    : port_(port), members_(members), config_(config) {
+    : GroupMember(port, members, find_member(members, port.endpoint(), "group"), config) {}
+
+GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
+                         std::size_t my_index, GroupConfig config)
+    : port_(port),
+      members_(members),
+      config_(config),
+      my_index_(check_member(members, my_index, port.endpoint(), "group")) {
   if (config_.id == 0 || config_.id > kMaxGroupId) {
     throw std::invalid_argument("group id must be non-zero and fit in 47 bits");
   }
-  bool found = false;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    if (members_[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the group");
 
   BarrierSpec nic_spec;
   nic_spec.location = Location::kNic;
@@ -77,7 +75,7 @@ GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
   nic_spec.group = config_.id;
   nic_spec.hierarchical = config_.hierarchical;
   nic_spec.hier_block = config_.hier_block;
-  nic_bm_ = std::make_unique<BarrierMember>(port_, members, nic_spec);
+  nic_bm_ = std::make_unique<BarrierMember>(port_, members, my_index_, nic_spec);
 
   BarrierSpec host_spec = nic_spec;
   host_spec.location = Location::kHost;
@@ -85,7 +83,7 @@ GroupMember::GroupMember(gm::Port& port, const std::vector<Endpoint>& members,
   // hierarchical composition only pays off on NIC offload).
   host_spec.hierarchical = false;
   host_spec.hier_block = 0;
-  host_bm_ = std::make_unique<BarrierMember>(port_, members, host_spec);
+  host_bm_ = std::make_unique<BarrierMember>(port_, members, my_index_, host_spec);
 
   // Both barrier paths share the port's event stream with the handshakes:
   // control messages drained during a barrier wait are parked here (their

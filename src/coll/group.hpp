@@ -104,6 +104,12 @@ class GroupMember {
   /// copying it (DESIGN §16), so `members` must outlive the GroupMember.
   GroupMember(gm::Port& port, const std::vector<Endpoint>& members, GroupConfig config);
   GroupMember(gm::Port& port, std::vector<Endpoint>&& members, GroupConfig config) = delete;
+  /// Same, for a caller that knows this member's index in `members`
+  /// (checked in O(1); the two barrier engines reuse it).
+  GroupMember(gm::Port& port, const std::vector<Endpoint>& members, std::size_t my_index,
+              GroupConfig config);
+  GroupMember(gm::Port& port, std::vector<Endpoint>&& members, std::size_t my_index,
+              GroupConfig config) = delete;
 
   /// Phase 1+2 group creation. Returns kOk (NIC-offloaded), kOkDegraded
   /// (slot admission rejected somewhere — host fallback), or a failure

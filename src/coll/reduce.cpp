@@ -10,18 +10,17 @@ using nic::GmEventType;
 
 ReduceMember::ReduceMember(gm::Port& port, std::span<const Endpoint> group, Location location,
                            nic::ReduceOp op, std::size_t dimension)
-    : port_(port), location_(location), op_(op) {
-  bool found = false;
-  for (std::size_t i = 0; i < group.size(); ++i) {
-    if (group[i] == port_.endpoint()) {
-      my_index_ = i;
-      found = true;
-      break;
-    }
-  }
-  if (!found) throw std::invalid_argument("port's endpoint is not in the reduce group");
-  gb_ = gb_tree(group, my_index_, dimension);
-}
+    : ReduceMember(port, group, find_member(group, port.endpoint(), "reduce group"), location,
+                   op, dimension) {}
+
+ReduceMember::ReduceMember(gm::Port& port, std::span<const Endpoint> group,
+                           std::size_t my_index, Location location, nic::ReduceOp op,
+                           std::size_t dimension)
+    : port_(port),
+      location_(location),
+      op_(op),
+      my_index_(check_member(group, my_index, port.endpoint(), "reduce group")),
+      gb_(gb_tree(group, my_index_, dimension)) {}
 
 sim::ValueTask<std::int64_t> ReduceMember::allreduce(std::int64_t contribution) {
   if (location_ == Location::kHost) return allreduce_host(contribution);

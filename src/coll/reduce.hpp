@@ -25,6 +25,10 @@ class ReduceMember {
   /// member keeps no roster.
   ReduceMember(gm::Port& port, std::span<const Endpoint> group, Location location,
                nic::ReduceOp op, std::size_t dimension = 2);
+  /// Same, for a caller that knows this member's index in `group` (checked
+  /// in O(1)).
+  ReduceMember(gm::Port& port, std::span<const Endpoint> group, std::size_t my_index,
+               Location location, nic::ReduceOp op, std::size_t dimension = 2);
 
   /// Runs one allreduce; every member gets the combined value.
   [[nodiscard]] sim::ValueTask<std::int64_t> allreduce(std::int64_t contribution);

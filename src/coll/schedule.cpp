@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 
 namespace nicbar::coll {
 
@@ -13,7 +14,25 @@ std::size_t floor_pow2(std::size_t n) {
   return p;
 }
 
+[[noreturn]] void not_a_member(const char* what) {
+  throw std::invalid_argument(std::string("port's endpoint is not in the ") + what);
+}
+
 }  // namespace
+
+std::size_t find_member(std::span<const Endpoint> group, const Endpoint& self,
+                        const char* what) {
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (group[i] == self) return i;
+  }
+  not_a_member(what);
+}
+
+std::size_t check_member(std::span<const Endpoint> group, std::size_t index,
+                         const Endpoint& self, const char* what) {
+  if (index >= group.size() || !(group[index] == self)) not_a_member(what);
+  return index;
+}
 
 std::vector<Endpoint> pe_schedule(std::span<const Endpoint> group, std::size_t me) {
   const std::size_t n = group.size();

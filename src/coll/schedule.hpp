@@ -18,6 +18,19 @@ namespace nicbar::coll {
 
 using nic::Endpoint;
 
+/// The index of `self` in `group`: an O(N) scan, for callers that do not
+/// already know it. Throws std::invalid_argument("port's endpoint is not in
+/// the <what>") when `self` is absent.
+[[nodiscard]] std::size_t find_member(std::span<const Endpoint> group, const Endpoint& self,
+                                      const char* what);
+
+/// `index` after an O(1) check that `group[index]` is `self`, for callers
+/// that already know their member's place (a roster built in member
+/// order). Throws std::invalid_argument with find_member's message
+/// otherwise.
+[[nodiscard]] std::size_t check_member(std::span<const Endpoint> group, std::size_t index,
+                                       const Endpoint& self, const char* what);
+
 /// Pairwise-exchange schedule for member `me` of `group` (paper §5.1).
 ///
 /// Power-of-two sizes: log2(N) rounds, partner in round r is index me^(1<<r).

@@ -157,18 +157,25 @@ void Cluster::arm_faults() {
       if (matches(f.link, l.name())) l.set_corrupt_probability(f.prob, derive_seed());
     });
   }
+  // Outages are a function of time on each link (Link::down_at), not
+  // events: a packet's hop is decided before it reaches the wire. Only the
+  // run's clock still sees the schedule: one no-op event at the last toggle
+  // keeps a run that goes quiet inside a window running to its end, as
+  // when every toggle was an event, so down time and utilisation read the
+  // same.
+  sim::SimTime last_toggle{0};
+  net::Link* last_link = nullptr;
   for (const sim::fault::LinkDownWindow& f : plan.link_down) {
     net_->for_each_link([&](net::Link& l) {
       if (!matches(f.link, l.name())) return;
-      net::Link* lp = &l;
-      // l.sim() is the owning lane after partitioning (the serial engine
-      // otherwise), so the transition executes where the link lives.
-      l.sim().schedule_at(f.from, [lp] { lp->set_down(true); });
-      if (f.until != sim::SimTime::max()) {
-        l.sim().schedule_at(f.until, [lp] { lp->set_down(false); });
-      }
+      l.set_down_at(f.from, true);
+      if (f.until != sim::SimTime::max()) l.set_down_at(f.until, false);
+      const sim::SimTime last = f.until != sim::SimTime::max() ? f.until : f.from;
+      if (last > last_toggle) last_toggle = last;
+      last_link = &l;
     });
   }
+  if (last_link != nullptr) last_link->sim().schedule_at(last_toggle, [] {});
   const auto where = [](int line) {
     return line > 0 ? " (fault-plan line " + std::to_string(line) + ")" : std::string();
   };

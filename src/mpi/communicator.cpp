@@ -42,8 +42,9 @@ Communicator::Communicator(gm::Port& port, std::vector<gm::Endpoint> group, Comm
   bspec.algorithm = config_.barrier_algorithm;
   bspec.gb_dimension = config_.gb_dimension;
   bspec.deadline = config_.barrier_deadline;
-  barrier_ = std::make_unique<coll::BarrierMember>(port_, group_, bspec);
-  reducer_ = std::make_unique<coll::ReduceMember>(port_, group_, config_.collective_location,
+  const auto me = static_cast<std::size_t>(rank_);
+  barrier_ = std::make_unique<coll::BarrierMember>(port_, group_, me, bspec);
+  reducer_ = std::make_unique<coll::ReduceMember>(port_, group_, me, config_.collective_location,
                                                   nic::ReduceOp::kSum, config_.gb_dimension);
 
   // The collectives and this layer share one event stream: anything a
@@ -100,8 +101,9 @@ Communicator::Communicator(gm::Port& port, std::vector<gm::Endpoint> group, Comm
   // waiting on a crashed member may have no traffic in flight to it, so no
   // kPeerDead ever arrives — only this deadline ends the wait.
   gc.ctrl_deadline = config_.barrier_deadline;
-  managed_ = std::make_unique<coll::GroupMember>(port_, group_, gc);
-  reducer_ = std::make_unique<coll::ReduceMember>(port_, group_, config_.collective_location,
+  const auto me = static_cast<std::size_t>(rank_);
+  managed_ = std::make_unique<coll::GroupMember>(port_, group_, me, gc);
+  reducer_ = std::make_unique<coll::ReduceMember>(port_, group_, me, config_.collective_location,
                                                   nic::ReduceOp::kSum, config_.gb_dimension);
 
   auto sink = [this](const GmEvent& ev) { on_foreign_event(ev); };
@@ -296,8 +298,8 @@ sim::ValueTask<std::int64_t> Communicator::allreduce(std::int64_t value, nic::Re
     co_return co_await reducer_->allreduce(value);
   }
   // Non-sum operators get a dedicated member (cheap: schedules only).
-  coll::ReduceMember red(port_, group_, config_.collective_location, op,
-                         config_.gb_dimension);
+  coll::ReduceMember red(port_, group_, static_cast<std::size_t>(rank_),
+                         config_.collective_location, op, config_.gb_dimension);
   red.set_event_sink([this](const GmEvent& ev) {
     if (ev.type == GmEventType::kRecv) {
       const int src = rank_of(ev.peer);

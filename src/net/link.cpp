@@ -1,6 +1,8 @@
 #include "net/link.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <utility>
 
 #include "sim/causal.hpp"
@@ -8,28 +10,42 @@
 
 namespace nicbar::net {
 
-void Link::set_down(bool down) {
-  if (down == down_) return;
-  down_ = down;
-  if (down) {
-    down_since_ = sim_->now();
-  } else {
-    down_total_ += sim_->now() - down_since_;
-  }
+void Link::set_down_at(sim::SimTime at, bool down) {
+  const auto after = std::upper_bound(
+      down_toggles_.begin(), down_toggles_.end(), at,
+      [](sim::SimTime t, const DownToggle& d) { return t < d.at; });
+  down_toggles_.insert(after, DownToggle{at, down});
+}
+
+bool Link::down_at(sim::SimTime t) const {
+  if (down_toggles_.empty()) return false;
+  const auto after = std::upper_bound(
+      down_toggles_.begin(), down_toggles_.end(), t,
+      [](sim::SimTime x, const DownToggle& d) { return x < d.at; });
+  return after != down_toggles_.begin() && std::prev(after)->down;
 }
 
 sim::Duration Link::down_time_total() const {
-  if (!down_) return down_total_;
-  return down_total_ + (sim_->now() - down_since_);
+  const sim::SimTime now = sim_->now();
+  sim::Duration total{0};
+  bool down = false;
+  sim::SimTime since{0};
+  for (const DownToggle& d : down_toggles_) {
+    if (d.at > now) break;
+    if (d.down && !down) since = d.at;
+    if (!d.down && down) total += d.at - since;
+    down = d.down;
+  }
+  return down ? total + (now - since) : total;
 }
 
-sim::SimTime Link::transmit(PacketPtr p) {
+sim::SimTime Link::transmit_at(PacketPtr p, sim::SimTime ready) {
   assert(deliver_ && "link has no receiver attached");
-  if (down_) {
+  if (down_at(ready)) {
     // Unplugged cable: the packet vanishes without even occupying the wire.
     ++dropped_;
     ++down_drops_;
-    return sim_->now();
+    return ready;
   }
   ++sent_;
   bytes_sent_ += p->wire_bytes(params_.header_bytes);
@@ -44,7 +60,7 @@ sim::SimTime Link::transmit(PacketPtr p) {
   const sim::Duration occupy = wire_time(*p);
   if (drop) {
     ++dropped_;
-    const sim::SimTime done = wire_.submit(occupy);
+    const sim::SimTime done = wire_.submit_at(ready, occupy);
     if (causal_ != nullptr) {
       // Terminal span: the packet's chain ends here; a retransmission starts
       // a fresh SEND span from the sender's stored record.
@@ -60,7 +76,7 @@ sim::SimTime Link::transmit(PacketPtr p) {
     p->corrupted = true;
     ++corrupted_;
   }
-  const sim::SimTime done = wire_.submit(occupy);
+  const sim::SimTime done = wire_.submit_at(ready, occupy);
   if (causal_ != nullptr) {
     // One span per directed hop, covering serialisation and propagation:
     // [done - occupy, done + prop]. Queueing behind earlier packets on this

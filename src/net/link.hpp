@@ -15,6 +15,7 @@
 #include <functional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/random.hpp"
@@ -69,7 +70,15 @@ class Link {
   /// (the sender's transmit channel frees up); delivery happens one
   /// propagation delay later, by moving `p` on to the receiver. A dropped
   /// packet is freed here.
-  sim::SimTime transmit(PacketPtr p);
+  sim::SimTime transmit(PacketPtr p) { return transmit_at(std::move(p), sim_->now()); }
+
+  /// transmit() for a packet that reaches the wire at `ready` (>= now): the
+  /// whole hop — outage check, loss draws, serialisation, delivery — is
+  /// decided now, as if transmit() ran at `ready`. Exact only while the
+  /// link's feeder is one FIFO stage (a NIC's SEND engine, a switch's
+  /// constant-latency routing pipeline), so transmits still happen in
+  /// `ready` order and every draw and delivery key is unchanged.
+  sim::SimTime transmit_at(PacketPtr p, sim::SimTime ready);
 
   /// Fault injection: drop each packet with probability `prob`.
   void set_drop_probability(double prob, std::uint64_t seed = 1) {
@@ -105,12 +114,18 @@ class Link {
     corrupt_rng_.reseed(seed);
   }
 
-  /// Fault injection: unplug / replug the cable. While down, packets vanish
-  /// instantly — nothing is serialised, nothing arrives. Down-time is
-  /// accumulated for the metrics snapshot.
-  void set_down(bool down);
+  /// Fault injection: unplug (`down`) or replug the cable at `at`. While
+  /// down, packets vanish instantly — nothing is serialised, nothing
+  /// arrives. Outages are a function of time, not events: transmit_at asks
+  /// for the state at the packet's ready time, which is the value of the
+  /// last toggle at or before it (same-instant toggles apply in the order
+  /// they were set). Set toggles before any transmit they should affect is
+  /// decided (a fault plan arms them before the run).
+  void set_down_at(sim::SimTime at, bool down);
+  void set_down(bool down) { set_down_at(sim_->now(), down); }
 
-  [[nodiscard]] bool is_down() const { return down_; }
+  [[nodiscard]] bool down_at(sim::SimTime t) const;
+  [[nodiscard]] bool is_down() const { return down_at(sim_->now()); }
 
   /// Total time this link has spent down, up to now (open windows count).
   [[nodiscard]] sim::Duration down_time_total() const;
@@ -165,9 +180,11 @@ class Link {
   sim::Rng burst_rng_{12345};
   double corrupt_prob_ = 0.0;
   sim::Rng corrupt_rng_{12345};
-  bool down_ = false;
-  sim::SimTime down_since_{0};
-  sim::Duration down_total_{0};
+  struct DownToggle {
+    sim::SimTime at;
+    bool down;
+  };
+  std::vector<DownToggle> down_toggles_;  // sorted by `at`, stable
   std::uint64_t sent_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t corrupted_ = 0;

@@ -88,8 +88,7 @@ void Network::finalize() {
   if (route_provider_) {
     // Closed-form routing: no all-pairs table. At 4096 terminals the BFS
     // table alone would hold 16.7M route vectors; the provider computes
-    // each pair on demand and route() memoises the ones actually used.
-    route_cache_.resize(terminals_.size());
+    // each packet's few bytes at inject instead.
     finalized_ = true;
     return;
   }
@@ -148,32 +147,30 @@ void Network::set_deliver(NodeId terminal, DeliverFn fn) {
   terminals_.at(terminal).deliver = std::move(fn);
 }
 
-const std::vector<std::uint8_t>& Network::route(NodeId src, NodeId dst) const {
+Route Network::route(NodeId src, NodeId dst) const {
   assert(finalized_);
-  if (route_provider_) {
-    auto& cache = route_cache_.at(src);
-    auto it = cache.find(dst);
-    if (it == cache.end()) it = cache.emplace(dst, route_provider_(src, dst)).first;
-    const std::vector<std::uint8_t>& r = it->second;
-    if (r.empty() && src != dst) throw std::logic_error("no route between terminals");
-    return r;
-  }
-  const std::vector<std::uint8_t>& r = routes_.at(src * terminals_.size() + dst);
+  const Route r = route_provider_ ? route_provider_(src, dst)
+                                  : Route::view(routes_.at(src * terminals_.size() + dst));
   if (r.empty() && src != dst) throw std::logic_error("no route between terminals");
   return r;
 }
 
 sim::SimTime Network::inject(PacketPtr p) {
+  // The uplink is bound to the injecting node's lane, so its clock — not
+  // the build lane's — is the packet's entry timestamp.
+  const sim::SimTime now = terminals_.at(p->src_node).up->sim().now();
+  return inject_at(std::move(p), now);
+}
+
+sim::SimTime Network::inject_at(PacketPtr p, sim::SimTime ready) {
   assert(finalized_);
   Terminal& t = terminals_.at(p->src_node);
   p->route = route(p->src_node, p->dst_node);
   p->hop = 0;
-  // The uplink is bound to the injecting node's lane, so its clock — not
-  // the build lane's — is the packet's entry timestamp.
-  p->injected_at = t.up->sim().now();
+  p->injected_at = ready;
   if (p->id == 0) p->id = allocate_packet_id(p->src_node);
   injected_.fetch_add(1, std::memory_order_relaxed);
-  return t.up->transmit(std::move(p));
+  return t.up->transmit_at(std::move(p), ready);
 }
 
 sim::Duration Network::apply_partitioning(sim::pdes::PartitionedSimulator& pdes,

@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "net/link.hpp"
@@ -55,10 +54,10 @@ class Network {
 
   /// Closed-form routing for topologies whose routes are computable from
   /// (src, dst) alone. Returns the switch output-port sequence, terminal
-  /// exit port included; empty only for src == dst. Install before
-  /// finalize(). Routes are cached per pair on first use, so memory is
-  /// O(pairs actually routed) rather than O(N²).
-  using RouteProviderFn = std::function<std::vector<std::uint8_t>(NodeId, NodeId)>;
+  /// exit port included, as inline Route bytes; empty only for src == dst.
+  /// Install before finalize(). Nothing is cached: inject_at writes each
+  /// packet's route from the provider, so routing memory is O(1).
+  using RouteProviderFn = std::function<Route(NodeId, NodeId)>;
   void set_route_provider(RouteProviderFn fn) { route_provider_ = std::move(fn); }
   [[nodiscard]] bool has_route_provider() const { return static_cast<bool>(route_provider_); }
 
@@ -66,18 +65,22 @@ class Network {
 
   void set_deliver(NodeId terminal, DeliverFn fn);
 
-  /// Injects `p` from its src_node terminal: points its route at the
-  /// fabric's bytes for (src, dst), stamps the id, then moves it onto the
-  /// terminal's uplink. Returns the time the sender's transmit channel
-  /// frees up. Runs on the source terminal's lane.
+  /// Injects `p` from its src_node terminal: writes its route for (src,
+  /// dst), stamps the id, then moves it onto the terminal's uplink. Returns
+  /// the time the sender's transmit channel frees up. Runs on the source
+  /// terminal's lane.
   sim::SimTime inject(PacketPtr p);
 
-  /// The route (switch output ports) from src to dst. The bytes stay at the
-  /// same address for the Network's lifetime, so packets view them rather
-  /// than copy them. With a route provider, the pair is computed and cached
-  /// on first use in `src`'s own cache: during a partitioned run only the
-  /// source's lane (inject) touches it, so no lock is needed.
-  [[nodiscard]] const std::vector<std::uint8_t>& route(NodeId src, NodeId dst) const;
+  /// inject() for a packet its sender hands to the uplink at `ready` (>= the
+  /// source lane's now): the NIC's SEND engine, whose FIFO completion time
+  /// is known when the job is charged, injects in closed form through
+  /// Link::transmit_at instead of from an event at `ready`.
+  sim::SimTime inject_at(PacketPtr p, sim::SimTime ready);
+
+  /// The route (switch output ports) from src to dst: the provider's inline
+  /// bytes, or a view of the BFS table, whose bytes stay at the same
+  /// address for the Network's lifetime. Pure, so any lane may call it.
+  [[nodiscard]] Route route(NodeId src, NodeId dst) const;
 
   /// Number of switch hops between two terminals.
   [[nodiscard]] std::size_t hop_count(NodeId src, NodeId dst) const {
@@ -163,11 +166,6 @@ class Network {
   // routes_[src * terminals + dst]; empty when a route provider is installed.
   std::vector<std::vector<std::uint8_t>> routes_;
   RouteProviderFn route_provider_;
-  // Lazy provider-route cache, one map per source terminal (indexed by src,
-  // keyed by dst). route() hands out references, so entries must be
-  // address-stable once inserted (unordered_map nodes are). Each source's
-  // map is written only from that source's lane.
-  mutable std::vector<std::unordered_map<NodeId, std::vector<std::uint8_t>>> route_cache_;
   bool finalized_ = false;
   std::atomic<std::uint64_t> injected_{0};  // bumped by every lane's sends
   std::vector<std::uint64_t> packet_seq_;   // per-node id stripes (one writer each)

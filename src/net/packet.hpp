@@ -2,10 +2,11 @@
 //
 // Myrinet is source-routed: the sending NIC prepends one routing byte per
 // switch hop and each switch strips its byte and forwards. We keep the route
-// as a view of output-port indices plus a hop cursor that advances instead
-// of stripping (see wire_bytes). The bytes belong to the Network, which
-// keeps them at a stable address for its whole life, so a packet never
-// copies its route.
+// as output-port indices plus a hop cursor that advances instead of
+// stripping (see wire_bytes). A closed-form fabric route (at most five
+// bytes) is carried inline in the packet; a BFS route of the canned
+// topologies is a view of bytes the Network keeps at a stable address for
+// its whole life. Either way no route is looked up or allocated per packet.
 //
 // Ownership: a packet in flight is one PacketPtr, allocated once where the
 // packet is created and moved — never copied — from the SEND engine through
@@ -16,9 +17,13 @@
 // replicas of a multidestination send.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <utility>
 
 #include "sim/frame_arena.hpp"
@@ -77,6 +82,58 @@ enum class PacketType : std::uint8_t {
 
 [[nodiscard]] const char* to_string(PacketType t);
 
+/// A source route: the switch output port to take at each hop, terminal
+/// exit port last. Either up to kInline bytes held by value, or a view of
+/// bytes that outlive every packet (Network's BFS table, a static array).
+/// Copies stay valid either way, so a packet value can be copied freely.
+class Route {
+ public:
+  static constexpr std::size_t kInline = 5;  // the longest fat-tree route
+
+  Route() = default;
+  /// Inline bytes; throws std::length_error beyond kInline.
+  Route(std::initializer_list<std::uint8_t> bytes) {
+    if (bytes.size() > kInline) throw std::length_error("route longer than its inline bytes");
+    // Built in a register, not byte by byte: a provider returns one Route
+    // per packet.
+    int shift = 0;
+    for (const std::uint8_t b : bytes) {
+      word_ |= std::uint64_t{b} << shift;
+      shift += 8;
+    }
+    word_ |= std::uint64_t{bytes.size()} << 56;
+  }
+  /// A view of `bytes`, which must outlive the route and its copies.
+  [[nodiscard]] static Route view(std::span<const std::uint8_t> bytes) {
+    Route r;
+    r.view_ = bytes.data();
+    r.word_ = bytes.size();
+    return r;
+  }
+
+  [[nodiscard]] const std::uint8_t* data() const {
+    return view_ != nullptr ? view_ : reinterpret_cast<const std::uint8_t*>(&word_);
+  }
+  [[nodiscard]] std::size_t size() const { return view_ != nullptr ? word_ : word_ >> 56; }
+  [[nodiscard]] bool empty() const { return size() == 0; }
+  [[nodiscard]] std::uint8_t operator[](std::size_t i) const { return data()[i]; }
+  [[nodiscard]] std::uint8_t front() const { return data()[0]; }
+  [[nodiscard]] const std::uint8_t* begin() const { return data(); }
+  [[nodiscard]] const std::uint8_t* end() const { return data() + size(); }
+
+  friend bool operator==(const Route& a, const Route& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  static_assert(std::endian::native == std::endian::little,
+                "inline route bytes are read in memory order");
+  const std::uint8_t* view_ = nullptr;
+  // Inline: byte i of the route in bits 8i..8i+7 (memory byte i), the
+  // length in the top byte. View: the length.
+  std::uint64_t word_ = 0;
+};
+
 struct Packet {
   PacketType type = PacketType::kData;
   NodeId src_node = kInvalidNode;
@@ -129,8 +186,8 @@ struct Packet {
   bool rma_ok = true;
 
   // Source route: output port to take at each switch, plus the hop cursor.
-  // A view of bytes owned by the Network (see Network::route).
-  std::span<const std::uint8_t> route;
+  // Written by Network::inject_at.
+  Route route;
   std::size_t hop = 0;
 
   sim::SimTime injected_at{0};  // set by the fabric when the packet enters

@@ -4,7 +4,10 @@
 // examined, the leading route byte selects the output port, and the packet
 // streams through with a small pipeline latency. We model that as a fixed
 // per-hop routing latency followed by transmission on the chosen output
-// link; output contention is captured by the link's FIFO wire server.
+// link; output contention is captured by the link's FIFO wire server. The
+// latency is a constant stage with no event of its own: accept() hands the
+// packet to the output link with the routing completion as its ready time
+// (Link::transmit_at).
 //
 // We do not model head-of-line wormhole blocking across switches: barrier
 // packets are tens of bytes, the fabrics in the paper are one switch deep,
@@ -63,10 +66,11 @@ class Switch {
   [[nodiscard]] std::uint64_t packets_forwarded() const { return forwarded_; }
   [[nodiscard]] std::uint64_t packets_misrouted() const { return misrouted_; }
   [[nodiscard]] std::uint64_t packets_dropped_port_down() const { return port_down_drops_; }
-  [[nodiscard]] std::uint64_t packets_in_pipeline() const { return in_pipeline_; }
 
   /// Packet conservation: every accepted packet is forwarded, misrouted, or
-  /// dropped on a failed port; at quiescence the routing pipeline is empty.
+  /// dropped on a failed port. A forwarded packet is on its output link at
+  /// once (its routing latency is the link's ready time), so the switch
+  /// itself never holds one.
   void verify_conservation() const;
 
  private:
@@ -79,7 +83,6 @@ class Switch {
   std::uint64_t forwarded_ = 0;
   std::uint64_t misrouted_ = 0;
   std::uint64_t port_down_drops_ = 0;
-  std::uint64_t in_pipeline_ = 0;
   sim::causal::CausalTracer* causal_ = nullptr;
 };
 

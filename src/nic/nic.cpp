@@ -293,20 +293,26 @@ void Nic::transmit(net::PacketPtr p, std::int64_t send_cycles_override) {
       send_cycles_override >= 0
           ? send_cycles_override
           : (net::is_barrier_payload(p->type) ? config_.barrier_send_cycles : config_.send_cycles);
-  // The packet's causal chain now ends at this SEND-engine span; wire and
-  // switch hops extend it in flight.
-  engine_pass(McpEngine::kSend, sim::causal::Segment::kSend, "tx", cost, std::move(p),
-              &Nic::send_out);
-}
-
-void Nic::send_out(net::PacketPtr p) {
   if (p->dst_node == node_) {
-    // Same-NIC delivery: skip the fabric, model a short internal turnaround.
-    sim_.schedule_in(proc_.cycles(config_.send_cycles),
-                     [this, pkt = std::move(p)]() mutable { rx_packet(std::move(pkt)); });
+    engine_pass(McpEngine::kSend, sim::causal::Segment::kSend, "tx", cost, std::move(p),
+                &Nic::loopback);
     return;
   }
-  net_.inject(std::move(p));
+  // The uplink's only feeder is this FIFO SEND stage, so the packet's wire
+  // time is known now: it enters the fabric when the job completes, handed
+  // over in closed form rather than from an event at that instant. Its
+  // causal chain now ends at this SEND-engine span; wire and switch hops
+  // extend it.
+  const sim::SimTime end = engine_charge(McpEngine::kSend, cost, nullptr);
+  p->causal = engine_span(McpEngine::kSend, sim::causal::Segment::kSend, "tx", end, cost,
+                          p->causal);
+  net_.inject_at(std::move(p), end);
+}
+
+void Nic::loopback(net::PacketPtr p) {
+  // Same-NIC delivery: skip the fabric, model a short internal turnaround.
+  sim_.schedule_in(proc_.cycles(config_.send_cycles),
+                   [this, pkt = std::move(p)]() mutable { rx_packet(std::move(pkt)); });
 }
 
 void Nic::send_control(Packet p) {

@@ -320,7 +320,7 @@ class Nic {
   /// replaces the per-packet SEND charge (multidestination replication pays
   /// the per-copy header-rewrite cost, not a full packet preparation).
   void transmit(net::PacketPtr p, std::int64_t send_cycles_override = -1);
-  void send_out(net::PacketPtr p);   // end of the SEND job: fabric or loopback
+  void loopback(net::PacketPtr p);   // end of a same-NIC SEND job
   void send_control(net::Packet p);  // acks and nacks (unsequenced)
 
   // --- RECV dispatch -------------------------------------------------------------

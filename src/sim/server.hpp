@@ -33,21 +33,32 @@ class BusyServer {
   /// Enqueues a job occupying the server for `service` time; `on_done` (may
   /// be null) runs when the job completes. Returns the completion time.
   SimTime submit(Duration service, SmallFn on_done = nullptr) {
+    return submit_at(sim_->now(), service, std::move(on_done));
+  }
+
+  /// submit() for a job that arrives at `ready` (>= now) rather than now: a
+  /// stage fed by a FIFO upstream whose completion time is already known
+  /// hands the job over in closed form instead of from an event at `ready`.
+  /// Exact as long as every job reaches the server in `ready` order.
+  SimTime submit_at(SimTime ready, Duration service, SmallFn on_done = nullptr) {
     const SimTime now = sim_->now();
     NICBAR_CHECK(!service.is_negative(), "sim.server", now,
                  "server '%s': negative service time %lld ps", name_.c_str(),
                  static_cast<long long>(service.ps()));
-    const SimTime start = free_at_ > now ? free_at_ : now;
+    NICBAR_CHECK(ready >= now, "sim.server", now,
+                 "server '%s': job ready %lld ps in the past", name_.c_str(),
+                 static_cast<long long>((now - ready).ps()));
+    const SimTime start = free_at_ > ready ? free_at_ : ready;
     // Mutual exclusion: the device serves one job at a time, in FIFO order.
-    // A start before the previous job's completion (or before now) would
-    // mean two jobs overlap on the bus/processor.
-    NICBAR_CHECK(start >= free_at_ && start >= now, "sim.server", now,
+    // A start before the previous job's completion (or before the job is
+    // ready) would mean two jobs overlap on the bus/processor.
+    NICBAR_CHECK(start >= free_at_ && start >= ready, "sim.server", now,
                  "server '%s': job would overlap previous occupancy "
                  "(start=%lld ps, free_at=%lld ps)",
                  name_.c_str(), static_cast<long long>(start.ps()),
                  static_cast<long long>(free_at_.ps()));
-    if (start > now) ++stalls_;  // job had to queue behind an earlier one
-    queue_delay_total_ += start - now;
+    if (start > ready) ++stalls_;  // job had to queue behind an earlier one
+    queue_delay_total_ += start - ready;
     busy_total_ += service;
     free_at_ = start + service;
     ++jobs_;

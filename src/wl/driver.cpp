@@ -145,7 +145,7 @@ void build_members(RunState& st, JobRun& jr) {
       // flight to it, so no kPeerDead ever arrives). Group ids are
       // fabric-unique per job.
       me.gmember = std::make_unique<coll::GroupMember>(
-          *me.port, plan.members,
+          *me.port, plan.members, m,
           coll::GroupConfig{.id = jr.job_index + 1,
                             .algorithm = b.algorithm,
                             .gb_dimension = b.gb_dimension,
@@ -155,7 +155,7 @@ void build_members(RunState& st, JobRun& jr) {
                             .ctrl_deadline = b.deadline,
                             .promote_every = k.promote_every});
     } else if (k.mix.barrier_only()) {
-      me.member = std::make_unique<coll::BarrierMember>(*me.port, plan.members, b);
+      me.member = std::make_unique<coll::BarrierMember>(*me.port, plan.members, m, b);
     } else {
       me.comm = std::make_unique<mpi::Communicator>(
           *me.port, plan.members,

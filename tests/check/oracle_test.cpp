@@ -56,7 +56,9 @@ TEST(OracleTest, FullSweepPassesAndPinsTheObservedError) {
     return all;
   }();
   for (const auto& o : rep.outcomes) {
-    if (o.exact) EXPECT_EQ(o.predicted.ps(), o.simulated.ps()) << o.label;
+    if (o.exact) {
+      EXPECT_EQ(o.predicted.ps(), o.simulated.ps()) << o.label;
+    }
   }
   // Pin the observed worst case (currently host-pe-n15/-n13 on LANai 4.3 at
   // ~0.72) from both sides: above the tolerance means oracle failures, but a

@@ -100,10 +100,10 @@ INSTANTIATE_TEST_SUITE_P(
                                          BarrierAlgorithm::kGatherBroadcast),
                        ::testing::Values(std::size_t{2}, std::size_t{4}, std::size_t{8},
                                          std::size_t{16})),
-    [](const auto& info) {
-      std::string name = std::get<0>(info.param) == Location::kHost ? "Host" : "Nic";
-      name += std::get<1>(info.param) == BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB";
-      name += std::to_string(std::get<2>(info.param));
+    [](const auto& param_info) {
+      std::string name = std::get<0>(param_info.param) == Location::kHost ? "Host" : "Nic";
+      name += std::get<1>(param_info.param) == BarrierAlgorithm::kPairwiseExchange ? "PE" : "GB";
+      name += std::to_string(std::get<2>(param_info.param));
       return name;
     });
 
@@ -121,11 +121,11 @@ INSTANTIATE_TEST_SUITE_P(Sizes, NonPow2Barrier,
                                             ::testing::Values(std::size_t{3}, std::size_t{5},
                                                               std::size_t{6}, std::size_t{7},
                                                               std::size_t{11}, std::size_t{13})),
-                         [](const auto& info) {
-                           return std::string(std::get<0>(info.param) == Location::kHost
+                         [](const auto& param_info) {
+                           return std::string(std::get<0>(param_info.param) == Location::kHost
                                                   ? "Host"
                                                   : "Nic") +
-                                  std::to_string(std::get<1>(info.param));
+                                  std::to_string(std::get<1>(param_info.param));
                          });
 
 // GB with all dimensions for a fixed size.

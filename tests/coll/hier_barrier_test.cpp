@@ -184,7 +184,9 @@ TEST(HierBarrierTest, FlatFig5TotalsAreBitIdentical) {
     EXPECT_EQ(r.total.ps(), g.total_ps) << g.what;
     // barriers_completed aggregates NIC firmware stats; host-driven
     // barriers never touch them.
-    if (g.loc == Location::kNic) EXPECT_EQ(r.barriers_completed, 16u * 100u) << g.what;
+    if (g.loc == Location::kNic) {
+      EXPECT_EQ(r.barriers_completed, 16u * 100u) << g.what;
+    }
   }
 }
 

@@ -9,11 +9,13 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <stdexcept>
 #include <type_traits>
 #include <vector>
 
 #include "coll/barrier.hpp"
 #include "coll/group.hpp"
+#include "coll/reduce.hpp"
 #include "host/cluster.hpp"
 #include "rma/barrier.hpp"
 
@@ -38,6 +40,10 @@ static_assert(std::is_constructible_v<GroupMember, gm::Port&, std::vector<Endpoi
                                       coll::GroupConfig>);
 static_assert(!std::is_constructible_v<GroupMember, gm::Port&, std::vector<Endpoint>&&,
                                        coll::GroupConfig>);
+static_assert(!std::is_constructible_v<BarrierMember, gm::Port&, std::vector<Endpoint>&&,
+                                       std::size_t, BarrierSpec>);
+static_assert(!std::is_constructible_v<GroupMember, gm::Port&, std::vector<Endpoint>&&,
+                                       std::size_t, coll::GroupConfig>);
 static_assert(!std::is_constructible_v<rma::DisseminationBarrier, rma::Domain&, rma::Segment&,
                                        std::vector<Endpoint>&&, std::size_t>);
 static_assert(!std::is_constructible_v<rma::TreePutBarrier, rma::Domain&, rma::Segment&,
@@ -307,6 +313,42 @@ TEST(RosterView, UnreliableBarrierTrafficNeverAllocatesSentLists) {
     }
     EXPECT_EQ(connections, 8u * 3u);
   }
+}
+
+TEST(RosterView, KnownIndexIsCheckedAgainstTheRoster) {
+  // Callers that build the roster in member order pass each member's index;
+  // the constructor checks that entry instead of scanning for the port, and
+  // the result is the member the scan would have found.
+  host::Cluster cluster(cluster_params());
+  const std::vector<Endpoint> group = two_port_roster();
+  std::vector<std::unique_ptr<gm::Port>> ports;
+  for (const Endpoint& e : group) ports.push_back(cluster.open_port(e.node, e.port));
+  const coll::GroupConfig gc{.id = 7};
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    gm::Port& port = *ports[i];
+    const BarrierMember scanned(port, group, nic_pe());
+    const BarrierMember known(port, group, i, nic_pe());
+    EXPECT_EQ(scanned.my_index(), i);
+    EXPECT_EQ(known.my_index(), i);
+    EXPECT_EQ(known.pe_peers(), scanned.pe_peers());
+    EXPECT_EQ(GroupMember(port, group, i, gc).is_coordinator(), i == 0);
+    EXPECT_EQ(coll::ReduceMember(port, group, i, coll::Location::kNic, nic::ReduceOp::kSum)
+                  .my_index(),
+              i);
+
+    // Another member's index, or one past the roster, is refused.
+    const std::size_t wrong = (i + 1) % group.size();
+    EXPECT_THROW(BarrierMember(port, group, wrong, nic_pe()), std::invalid_argument);
+    EXPECT_THROW(BarrierMember(port, group, group.size(), nic_pe()), std::invalid_argument);
+    EXPECT_THROW(GroupMember(port, group, wrong, gc), std::invalid_argument);
+    EXPECT_THROW(
+        coll::ReduceMember(port, group, wrong, coll::Location::kNic, nic::ReduceOp::kSum),
+        std::invalid_argument);
+  }
+  // A port outside the roster is refused by the scanning constructors too.
+  const auto outsider = cluster.open_port(kNonMember, 2);
+  EXPECT_THROW(BarrierMember(*outsider, group, nic_pe()), std::invalid_argument);
+  EXPECT_THROW(GroupMember(*outsider, group, gc), std::invalid_argument);
 }
 
 }  // namespace

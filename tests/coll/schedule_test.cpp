@@ -191,7 +191,9 @@ TEST(GbTreeTest, DimensionOneIsAChain) {
   const auto g = make_group(5);
   for (std::size_t i = 0; i < 5; ++i) {
     const GbTreeSlice s = gb_tree(g, i, 1);
-    if (i > 0) EXPECT_EQ(s.parent, g[i - 1]);
+    if (i > 0) {
+      EXPECT_EQ(s.parent, g[i - 1]);
+    }
     if (i < 4) {
       ASSERT_EQ(s.children.size(), 1u);
       EXPECT_EQ(s.children[0], g[i + 1]);

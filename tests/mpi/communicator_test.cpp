@@ -150,8 +150,8 @@ TEST_P(CommCollectives, BcastFromRoot) {
 
 INSTANTIATE_TEST_SUITE_P(Locations, CommCollectives,
                          ::testing::Values(coll::Location::kHost, coll::Location::kNic),
-                         [](const auto& info) {
-                           return info.param == coll::Location::kHost ? "Host" : "Nic";
+                         [](const auto& param_info) {
+                           return param_info.param == coll::Location::kHost ? "Host" : "Nic";
                          });
 
 TEST(CommunicatorTest, DataInFlightDuringNicBarrierIsNotLost) {

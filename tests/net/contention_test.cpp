@@ -134,11 +134,12 @@ INSTANTIATE_TEST_SUITE_P(Topologies, BarrierOverTopology,
                          ::testing::Values(host::Topology::kSingleSwitch,
                                            host::Topology::kSwitchChain,
                                            host::Topology::kSwitchTree),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case host::Topology::kSingleSwitch: return "SingleSwitch";
                              case host::Topology::kSwitchChain: return "Chain";
                              case host::Topology::kSwitchTree: return "Tree";
+                             default: break;
                            }
                            return "?";
                          });

@@ -66,7 +66,7 @@ TEST(LinkTest, RouteBytesCountOnTheWire) {
   Link link(sim, lp, "l");
   static constexpr std::uint8_t kRoute[] = {1, 2, 3};  // 3 route bytes
   PacketPtr p = small_packet(0);
-  p->route = kRoute;
+  p->route = net::Route::view(kRoute);
   EXPECT_EQ(link.wire_time(*p).ps(), sim::transfer_time(19, 160.0).ps());
 }
 

@@ -79,7 +79,7 @@ TEST(PacketLifetimeTest, SwitchMisrouteFreesThePacket) {
   static constexpr std::uint8_t kNoSuchPort[] = {7};
   f.net.uplink(0).transmit(packet_between(0, 1));
   PacketPtr bad = packet_between(0, 1);
-  bad->route = kNoSuchPort;
+  bad->route = net::Route::view(kNoSuchPort);
   f.net.uplink(0).transmit(std::move(bad));
   f.sim.run();
   EXPECT_EQ(f.delivered, 0);
@@ -163,14 +163,12 @@ TEST(PacketLifetimeTest, DeadPeerDropFreesThePacket) {
 
 std::uint64_t packets_in_fabric(Network& net) {
   std::uint64_t n = 0;
+  // A packet in a switch's routing latency is already on its output link.
   net.for_each_link([&n](net::Link& l) { n += l.packets_in_flight(); });
-  for (std::size_t s = 0; s < net.switch_count(); ++s) {
-    n += net.switch_at(static_cast<int>(s)).packets_in_pipeline();
-  }
   return n;
 }
 
-/// Runs in 1 us steps until packets are on the wires or in the switches
+/// Runs in 1 us steps until packets are on the wires
 /// (bounded); returns how many.
 std::uint64_t run_until_in_flight(host::Cluster& c) {
   for (std::int64_t us = 1; us <= 1000; ++us) {

@@ -83,8 +83,8 @@ INSTANTIATE_TEST_SUITE_P(AllModes, ReliabilityModes,
                          ::testing::Values(BarrierReliability::kUnreliable,
                                            BarrierReliability::kSharedStream,
                                            BarrierReliability::kSeparateAcks),
-                         [](const auto& info) {
-                           switch (info.param) {
+                         [](const auto& param_info) {
+                           switch (param_info.param) {
                              case BarrierReliability::kUnreliable: return "Unreliable";
                              case BarrierReliability::kSharedStream: return "SharedStream";
                              case BarrierReliability::kSeparateAcks: return "SeparateAcks";
@@ -173,7 +173,7 @@ TEST(BarrierOrderingTest, SharedStreamPreservesDataBarrierOrder) {
   }(*p0, group));
   // Node 1: enter the barrier, then receive; the data event must already be
   // queued before the completion event.
-  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> g,
+  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> /*group*/,
                          std::vector<std::string>* log) -> sim::Task {
     co_await port.provide_receive_buffer(64);
     nic::BarrierToken tok;
@@ -208,7 +208,7 @@ TEST(BarrierOrderingTest, UnreliableModeCanReorderAroundData) {
                                                BarrierAlgorithm::kPairwiseExchange, 2});
     co_await m.run();
   }(*p0, group));
-  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> g,
+  cluster.sim().spawn([](gm::Port& port, std::vector<gm::Endpoint> /*group*/,
                          std::vector<std::string>* log) -> sim::Task {
     co_await port.provide_receive_buffer(64 * 1024);
     nic::BarrierToken tok;
