@@ -53,15 +53,7 @@ void attach_terminals(net::Network& net, const Fabric& f, const std::vector<int>
 }
 
 void install_provider(net::Network& net, const Fabric& f) {
-  // One Place per terminal (8 bytes each): the provider runs for every
-  // packet at inject, so the divisions are paid once here.
-  std::vector<Fabric::Place> places;
-  places.reserve(f.nodes);
-  for (std::size_t n = 0; n < f.nodes; ++n) places.push_back(f.place(static_cast<net::NodeId>(n)));
-  net.set_route_provider([f, places = std::move(places)](net::NodeId src, net::NodeId dst) {
-    if (src == dst) return net::Route{};
-    return f.route_between(places.at(src), places.at(dst));
-  });
+  net.set_route_provider([f](net::NodeId src, net::NodeId dst) { return f.route(src, dst); });
   net.finalize();
 }
 
@@ -73,40 +65,33 @@ std::size_t Fabric::leaf_population(std::size_t leaf) const {
   return std::min(hosts_per_leaf, nodes - first);
 }
 
-Fabric::Place Fabric::place(net::NodeId n) const {
+net::Route Fabric::route(net::NodeId src, net::NodeId dst) const {
+  if (src == dst) return {};
   const std::size_t h = hosts_per_leaf;
   const std::size_t u = uplinks_per_leaf;
-  Place p;
-  p.leaf = static_cast<std::uint16_t>(n / h);
-  p.pod = static_cast<std::uint16_t>(levels == 2 ? 0 : p.leaf / leaves_per_pod);
-  p.host_port = static_cast<std::uint8_t>(n % h);
+  const auto host_port = static_cast<std::uint8_t>(dst % h);
+  const std::size_t src_leaf = src / h;
+  const std::size_t dst_leaf = dst / h;
+  if (src_leaf == dst_leaf) return {host_port};
+
   // Per-destination spreading: every source picks the same uplink column
   // (and, three levels up, the same core column) for a given destination.
-  p.up = static_cast<std::uint8_t>(h + n % u);
-  p.core_col = static_cast<std::uint8_t>(h + (n / u) % u);
-  p.leaf_in_pod = static_cast<std::uint8_t>(levels == 2 ? 0 : p.leaf % leaves_per_pod);
-  return p;
-}
-
-net::Route Fabric::route_between(const Place& src, const Place& dst) const {
-  if (src.leaf == dst.leaf) return {dst.host_port};
+  const auto up = static_cast<std::uint8_t>(h + dst % u);
   if (levels == 2) {
     // leaf --up--> spine (dst % u) --port dst_leaf--> leaf --> host.
-    return {dst.up, static_cast<std::uint8_t>(dst.leaf), dst.host_port};
+    return {up, static_cast<std::uint8_t>(dst_leaf), host_port};
   }
-  if (src.pod == dst.pod) {
+  const std::size_t src_pod = src_leaf / leaves_per_pod;
+  const std::size_t dst_pod = dst_leaf / leaves_per_pod;
+  const auto dst_leaf_in_pod = static_cast<std::uint8_t>(dst_leaf % leaves_per_pod);
+  if (src_pod == dst_pod) {
     // leaf --up--> agg (pod, dst % u) --down--> leaf --> host.
-    return {dst.up, dst.leaf_in_pod, dst.host_port};
+    return {up, dst_leaf_in_pod, host_port};
   }
   // leaf --up--> agg --core column (dst / u) % u--> core --port dst_pod-->
   // agg (dst_pod, dst % u) --down--> leaf --> host.
-  return {dst.up, dst.core_col, static_cast<std::uint8_t>(dst.pod), dst.leaf_in_pod,
-          dst.host_port};
-}
-
-net::Route Fabric::route(net::NodeId src, net::NodeId dst) const {
-  if (src == dst) return {};
-  return route_between(place(src), place(dst));
+  const auto core_col = static_cast<std::uint8_t>(h + (dst / u) % u);
+  return {up, core_col, static_cast<std::uint8_t>(dst_pod), dst_leaf_in_pod, host_port};
 }
 
 Fabric build_leaf_spine(net::Network& net, std::size_t nodes, std::size_t radix,

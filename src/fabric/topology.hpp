@@ -70,22 +70,6 @@ struct Fabric {
   /// one up-path from any source, so routes are reproducible regardless
   /// of build order, worker count, or which pairs were routed first.
   [[nodiscard]] net::Route route(net::NodeId src, net::NodeId dst) const;
-
-  /// Where a terminal sits, as the route needs it: every division of the
-  /// route computed once per node, so a route is table reads and compares.
-  struct Place {
-    std::uint16_t leaf = 0;
-    std::uint16_t pod = 0;          // 3-level only
-    std::uint8_t host_port = 0;     // n mod h: the leaf's port to the node
-    std::uint8_t up = 0;            // h + n mod u: the uplink toward the node
-    std::uint8_t core_col = 0;      // h + (n / u) mod u: 3-level core column
-    std::uint8_t leaf_in_pod = 0;   // leaf mod leaves_per_pod (3-level)
-  };
-  [[nodiscard]] Place place(net::NodeId n) const;
-
-  /// The route between two placed terminals (src != dst); route() is
-  /// route_between(place(src), place(dst)).
-  [[nodiscard]] net::Route route_between(const Place& src, const Place& dst) const;
 };
 
 /// Builds a fat-tree (folded Clos) of `radix`-port switches: two levels

@@ -122,7 +122,6 @@ class Link {
   /// they were set). Set toggles before any transmit they should affect is
   /// decided (a fault plan arms them before the run).
   void set_down_at(sim::SimTime at, bool down);
-  void set_down(bool down) { set_down_at(sim_->now(), down); }
 
   [[nodiscard]] bool down_at(sim::SimTime t) const;
   [[nodiscard]] bool is_down() const { return down_at(sim_->now()); }

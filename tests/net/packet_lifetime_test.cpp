@@ -53,7 +53,7 @@ struct Fabric2 {
 
 TEST(PacketLifetimeTest, LinkDownFreesThePacketAtTheSender) {
   Fabric2 f;
-  f.net.uplink(0).set_down(true);
+  f.net.uplink(0).set_down_at(f.sim.now(), true);
   for (int i = 0; i < 5; ++i) f.net.inject(packet_between(0, 1));
   f.sim.run();
   EXPECT_EQ(f.delivered, 0);
